@@ -76,14 +76,16 @@ func forEach(parent context.Context, workers, n int, fn func(ctx context.Context
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+				// Check before claiming: a claimed index always runs, so
+				// every index below a failing one completes.
 				select {
 				case <-ctx.Done():
 					return
 				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
 				if err := fn(ctx, i); err != nil {
 					errs[i] = err

@@ -10,8 +10,8 @@ import (
 
 // This file retains the original map-based k-means kernel as the oracle
 // for the dense kernel's equivalence tests, mirroring the pattern
-// established for the regression tree (internal/rtree/reference.go). It
-// is compiled unconditionally so the tests and benchmarks can always
+// established for the regression tree (internal/rtree/reference_test.go).
+// It is compiled unconditionally so the tests and benchmarks can always
 // reach it, but nothing outside them calls it.
 //
 // One deliberate deviation from the pre-dense code: every map iteration

@@ -116,7 +116,7 @@ var fields = []Field{
 		Query: "max-leaves",
 		Help:  "regression-tree leaf cap (0 = paper's 50)",
 		Set: func(o *experiment.Options, raw string) (err error) {
-			o.MaxLeaves, err = parseInt("max-leaves", raw)
+			o.MaxLeaves, err = parseNonNegInt("max-leaves", raw)
 			return
 		},
 		Get: func(o *experiment.Options) string { return strconv.Itoa(o.MaxLeaves) },
@@ -125,7 +125,7 @@ var fields = []Field{
 		Query: "folds",
 		Help:  "cross-validation folds (0 = paper's 10)",
 		Set: func(o *experiment.Options, raw string) (err error) {
-			o.Folds, err = parseInt("folds", raw)
+			o.Folds, err = parseNonNegInt("folds", raw)
 			return
 		},
 		Get: func(o *experiment.Options) string { return strconv.Itoa(o.Folds) },
@@ -262,6 +262,16 @@ func parseInt(name, val string) (int, error) {
 		return 0, errf(name, "%q is not an integer", val)
 	}
 	return n, nil
+}
+
+// parseNonNegInt is parseInt for fields where a negative value has no
+// meaning (0 still selects the default).
+func parseNonNegInt(name, val string) (int, error) {
+	n, err := parseInt(name, val)
+	if err == nil && n < 0 {
+		return 0, errf(name, "%d is negative", n)
+	}
+	return n, err
 }
 
 func parseUint(name, val string) (uint64, error) {

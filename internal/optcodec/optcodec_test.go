@@ -130,6 +130,8 @@ func TestFromQueryRejections(t *testing.T) {
 		{"negative uint", url.Values{"seed": {"-1"}}, "not a non-negative integer"},
 		{"bad bool", url.Values{"threads": {"maybe"}}, "not a bool"},
 		{"bad machine", url.Values{"machine": {"vax"}}, "unknown machine"},
+		{"negative max-leaves", url.Values{"max-leaves": {"-1"}}, "parameter max-leaves: -1 is negative"},
+		{"negative folds", url.Values{"folds": {"-3"}}, "parameter folds: -3 is negative"},
 	}
 	for _, tc := range cases {
 		_, err := FromQuery(base, tc.q, nil)

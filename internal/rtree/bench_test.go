@@ -62,6 +62,19 @@ func BenchmarkRTreeCrossValidate(b *testing.B) {
 			}
 		}
 	})
+	// The long-tail shape of odb-c: 311 intervals, ~15k EIPs, about half
+	// of them sampled in a single interval. The reference kernel is left
+	// out: it would take minutes per iteration.
+	b.Run("csr-longtail", func(b *testing.B) {
+		m := IndexDataset(longTailDataset(xrand.New(42), 311, 15000, 1200, 675))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.CrossValidate(DefaultOptions(), 10, 7); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,18 @@ func sameSplits(t *testing.T, want, got []Split, label string) {
 	}
 }
 
+func sameCV(t *testing.T, want, got CVResult, label string) {
+	t.Helper()
+	if want.KOpt != got.KOpt || want.REOpt != got.REOpt || want.KAsym != got.KAsym {
+		t.Fatalf("%s: CV summary differs: reference %+v, columnar %+v", label, want, got)
+	}
+	for k := range want.RE {
+		if want.RE[k] != got.RE[k] {
+			t.Fatalf("%s: RE[%d] = %v vs %v", label, k, got.RE[k], want.RE[k])
+		}
+	}
+}
+
 // TestEquivalenceBuild: identical split sequences (including exact gain
 // bits) on randomized datasets across growth-parameter settings.
 func TestEquivalenceBuild(t *testing.T) {
@@ -91,14 +104,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if ref.KOpt != got.KOpt || ref.REOpt != got.REOpt || ref.KAsym != got.KAsym {
-			t.Fatalf("seed %d: summary differs: reference %+v, columnar %+v", seed, ref, got)
-		}
-		for k := range ref.RE {
-			if ref.RE[k] != got.RE[k] {
-				t.Fatalf("seed %d: RE[%d] = %v vs %v", seed, k, ref.RE[k], got.RE[k])
-			}
-		}
+		sameCV(t, ref, got, fmt.Sprintf("seed %d", seed))
 
 		popt := opt
 		popt.Parallelism = 4
@@ -106,11 +112,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range ref.RE {
-			if ref.RE[k] != par.RE[k] {
-				t.Fatalf("seed %d: parallel RE[%d] = %v vs %v", seed, k, par.RE[k], ref.RE[k])
-			}
-		}
+		sameCV(t, ref, par, fmt.Sprintf("seed %d parallel", seed))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -145,6 +147,97 @@ func TestEquivalenceParallelBuild(t *testing.T) {
 
 	sameSplits(t, ref.Splits(), serial.Splits(), "serial")
 	sameSplits(t, ref.Splits(), parallel.Splits(), "parallel")
+}
+
+// longTailDataset mimics the column shape of real EIPV profiles: most
+// features are sampled in 0–3 intervals (half of the sparse ones in
+// exactly one), some columns are exact duplicates of earlier ones, and a
+// few dense columns carry the signal. Most sparse columns fall below
+// MinLeaf entries, so it stresses the kernel's live-column pruning at
+// every MinLeaf.
+func longTailDataset(rng *xrand.Rand, n, sparse, dense, dups int) Dataset {
+	type entry struct{ row, cnt int }
+	var cols [][]entry
+	for f := 0; f < dense; f++ {
+		var col []entry
+		p := 0.05 + 0.55*rng.Float64()
+		for r := 0; r < n; r++ {
+			if rng.Bool(p) {
+				col = append(col, entry{r, rng.Range(1, 6)})
+			}
+		}
+		cols = append(cols, col)
+	}
+	for f := 0; f < sparse; f++ {
+		var col []entry
+		for k := [8]int{0, 1, 1, 1, 1, 2, 2, 3}[rng.Intn(8)]; k > 0; k-- {
+			col = append(col, entry{rng.Intn(n), rng.Range(1, 3)})
+		}
+		cols = append(cols, col)
+	}
+	for f := 0; f < dups; f++ {
+		cols = append(cols, cols[rng.Intn(len(cols))])
+	}
+	// Shuffle so duplicates and dense columns interleave in EIP order.
+	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+
+	data := make(Dataset, n)
+	for r := range data {
+		data[r] = Point{Counts: map[uint64]int{}}
+	}
+	for f, col := range cols {
+		for _, e := range col {
+			data[e.row].Counts[uint64(f*5+1)] = e.cnt
+		}
+	}
+	for r := range data {
+		y := float64(rng.Range(0, 4)) * 0.5 // coarse: exact ties are common
+		if data[r].Counts[1] > 2 {
+			y += 1.5
+		}
+		data[r].Y = y + rng.Norm(0, 0.05)
+	}
+	return data
+}
+
+// TestEquivalenceLongTail locks build and CV against the reference on
+// long-tail data at MinLeaf 1–5, serial and parallel, with enough live
+// columns at the root that the parallel split search really runs.
+func TestEquivalenceLongTail(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := xrand.New(seed)
+		data := longTailDataset(rng, 120, 900, 160, 100)
+		m := IndexDataset(data)
+		for minLeaf := 1; minLeaf <= 5; minLeaf++ {
+			live := 0
+			for f := 0; f < m.NumFeatures(); f++ {
+				if int(m.colStart[f+1]-m.colStart[f]) >= minLeaf {
+					live++
+				}
+			}
+			if live < parallelFeatureMin || (minLeaf > 1 && live == m.NumFeatures()) {
+				t.Fatalf("seed %d MinLeaf %d: %d of %d columns live; want pruning and parallel nodes",
+					seed, minLeaf, live, m.NumFeatures())
+			}
+
+			opt := Options{MaxLeaves: 30, MinLeaf: minLeaf}
+			ref := referenceBuild(data, opt)
+			refCV, err := referenceCrossValidate(data, opt, 5, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 4} {
+				opt.Parallelism = par
+				label := fmt.Sprintf("seed %d MinLeaf %d Parallelism %d", seed, minLeaf, par)
+				sameSplits(t, ref.Splits(), m.Build(opt).Splits(), label)
+				got, err := m.CrossValidate(opt, 5, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCV(t, refCV, got, label)
+			}
+		}
+	}
 }
 
 // TestEquivalenceMatrixReuse: fold trees built from one shared Matrix must

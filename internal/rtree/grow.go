@@ -1,6 +1,9 @@
 package rtree
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file is the columnar growth kernel. A builder carries every piece
 // of scratch the best-first loop needs — the row-membership array that is
@@ -12,10 +15,14 @@ import "sync"
 //
 //   - A node's members b.rows[lo:hi] are in ascending dataset-row order:
 //     the root starts ascending and splits partition stably.
-//   - A node's column slice for feature f holds exactly its members'
-//     nonzero (row, count) pairs in (count, row) order: the matrix's
-//     columns start in that order and splits partition them stably, so no
-//     node ever sorts anything.
+//   - A node holds only its columns with >= MinLeaf member entries,
+//     packed count<<32|row. This is exact: a split's right side is a
+//     subset of the column's nonzero entries, so a shorter column never
+//     has an admissible threshold, and descendants only shrink it.
+//   - A node's column for a live feature f holds exactly its members'
+//     nonzero entries in (count, row) order: the matrix's columns start
+//     in that order and splits partition them stably, so no node ever
+//     sorts anything.
 //   - Features are scanned in ascending dense-ID order == ascending-EIP
 //     order with a strict > gain comparison, so ties break toward the
 //     lowest EIP and then the lowest threshold, exactly like the
@@ -25,16 +32,19 @@ import "sync"
 //     reference kernel, so gains — and therefore whole trees — are
 //     bit-for-bit identical.
 
-// colSet holds one node's slices of the presorted feature columns:
-// feature f's (row, count) pairs are row[start[f]:start[f+1]] and
-// cnt[start[f]:start[f+1]], in (count, row) order.
+// colSet holds one node's live slices of the presorted feature columns:
+// feat lists the live feature IDs in ascending order, and feature feat[i]'s
+// packed count<<32|row entries are ent[start[i]:start[i+1]], in (count,
+// row) order. A column is live while it holds at least MinLeaf entries;
+// shorter columns can never split this node or any descendant, so they
+// are dropped.
 type colSet struct {
+	feat  []int32
 	start []int32
-	row   []int32
-	cnt   []int32
+	ent   []uint64
 }
 
-// parallelFeatureMin is the feature count below which findBest stays
+// parallelFeatureMin is the live-column count below which findBest stays
 // serial: per-feature work is too small to amortize goroutine fan-out.
 const parallelFeatureMin = 128
 
@@ -53,10 +63,9 @@ type builder struct {
 	// split. It is always all-false between uses.
 	flag []bool
 
-	// Parallel split-search buffers.
-	present []int32
-	gains   []float64
-	thrs    []int32
+	// Parallel split-search buffers, indexed like a colSet's feat.
+	gains []float64
+	thrs  []int32
 
 	frontier []*node
 	free     []*colSet // recycled column sets
@@ -76,7 +85,6 @@ func getBuilder(m *Matrix, opt Options) *builder {
 	if F := m.NumFeatures(); cap(b.gains) < F {
 		b.gains = make([]float64, F)
 		b.thrs = make([]int32, F)
-		b.present = make([]int32, 0, F)
 	}
 	return b
 }
@@ -88,16 +96,32 @@ func putBuilder(b *builder) {
 	builderPool.Put(b)
 }
 
-func (b *builder) getColSet() *colSet {
+// getColSet returns an empty column set with room for nEnt entries,
+// written by index.
+func (b *builder) getColSet(nEnt int) *colSet {
+	cs := &colSet{}
 	if n := len(b.free); n > 0 {
-		cs := b.free[n-1]
+		cs = b.free[n-1]
 		b.free = b.free[:n-1]
-		cs.start = cs.start[:0]
-		cs.row = cs.row[:0]
-		cs.cnt = cs.cnt[:0]
-		return cs
 	}
-	return &colSet{}
+	cs.feat = cs.feat[:0]
+	cs.start = append(cs.start[:0], 0)
+	cs.ent = slices.Grow(cs.ent[:0], nEnt)[:nEnt]
+	return cs
+}
+
+// endCol closes feature f's column, whose entries were written to
+// ent[start[len(start)-1]:w]. The column stays live if it holds at least
+// minLeaf entries and is rewound otherwise; endCol returns the next write
+// position.
+func (cs *colSet) endCol(f, w int32, minLeaf int) int32 {
+	s := cs.start[len(cs.start)-1]
+	if int(w-s) < minLeaf {
+		return s
+	}
+	cs.feat = append(cs.feat, f)
+	cs.start = append(cs.start, w)
+	return w
 }
 
 // releaseCols recycles a node's column slices once it can never split
@@ -110,24 +134,28 @@ func (b *builder) releaseCols(n *node) {
 }
 
 // rootCols gathers the root's column set by filtering the matrix's
-// presorted columns down to the build's row subset. Filtering preserves
-// order, so the result is already in (count, row) order per feature.
+// presorted columns down to the build's row subset, keeping only live
+// columns. Filtering preserves order, so the result is already in (count,
+// row) order per feature. The rows' nonzero counts bound the entries.
 func (b *builder) rootCols() *colSet {
 	m := b.m
+	nnz := 0
 	for _, r := range b.rows {
 		b.flag[r] = true
+		nnz += int(m.rowStart[r+1] - m.rowStart[r])
 	}
-	cs := b.getColSet()
-	cs.start = append(cs.start, 0)
+	cs := b.getColSet(nnz)
+	var w int32 // entries written
 	for f := 0; f < m.NumFeatures(); f++ {
-		for k := m.colStart[f]; k < m.colStart[f+1]; k++ {
-			if r := m.colRow[k]; b.flag[r] {
-				cs.row = append(cs.row, r)
-				cs.cnt = append(cs.cnt, m.colCnt[k])
+		for _, e := range m.colEnt[m.colStart[f]:m.colStart[f+1]] {
+			if b.flag[entRow(e)] {
+				cs.ent[w] = e
+				w++
 			}
 		}
-		cs.start = append(cs.start, int32(len(cs.row)))
+		w = cs.endCol(int32(f), w, b.opt.MinLeaf)
 	}
+	cs.ent = cs.ent[:w]
 	for _, r := range b.rows {
 		b.flag[r] = false
 	}
@@ -135,10 +163,10 @@ func (b *builder) rootCols() *colSet {
 }
 
 // findBest computes the node's best (feature, n) split by scanning its
-// members' slice of every presorted column. Candidate thresholds are the
-// observed counts (including 0) except the maximum.
+// members' slice of every live presorted column. Candidate thresholds are
+// the observed counts (including 0) except the maximum.
 //
-// With opt.Parallelism > 1 and enough present features, the per-feature
+// With opt.Parallelism > 1 and enough live columns, the per-feature
 // scoring fans out across workers. Each feature's score is computed
 // independently of every other feature (no floating-point accumulation
 // crosses feature boundaries), and the reduction scans features in
@@ -158,47 +186,27 @@ func (b *builder) findBest(n *node) {
 	}
 
 	cs := n.cols
-	F := b.m.NumFeatures()
-
-	if b.opt.Parallelism > 1 {
-		b.present = b.present[:0]
-		for f := 0; f < F; f++ {
-			if cs.start[f+1] > cs.start[f] {
-				b.present = append(b.present, int32(f))
+	if b.opt.Parallelism > 1 && len(cs.feat) >= parallelFeatureMin {
+		gains := b.gains[:len(cs.feat)]
+		thrs := b.thrs[:len(cs.feat)]
+		parallelFor(b.opt.Parallelism, len(cs.feat), func(i int) {
+			gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs.ent[cs.start[i]:cs.start[i+1]])
+		})
+		for i, f := range cs.feat {
+			if gains[i] > n.bestGain {
+				n.bestGain = gains[i]
+				n.bestFeat = f
+				n.bestN = thrs[i]
 			}
 		}
-		if len(b.present) >= parallelFeatureMin {
-			gains := b.gains[:len(b.present)]
-			thrs := b.thrs[:len(b.present)]
-			parallelFor(b.opt.Parallelism, len(b.present), func(i int) {
-				f := b.present[i]
-				s, e := cs.start[f], cs.start[f+1]
-				gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs.row[s:e], cs.cnt[s:e])
-			})
-			for i, f := range b.present {
-				if gains[i] > n.bestGain {
-					n.bestGain = gains[i]
-					n.bestFeat = f
-					n.bestN = thrs[i]
-				}
+	} else {
+		for i, f := range cs.feat {
+			gain, thr := b.scoreFeature(n, parentSS, cs.ent[cs.start[i]:cs.start[i+1]])
+			if gain > n.bestGain {
+				n.bestGain = gain
+				n.bestFeat = f
+				n.bestN = thr
 			}
-			if n.bestGain == 0 {
-				b.releaseCols(n)
-			}
-			return
-		}
-	}
-
-	for f := 0; f < F; f++ {
-		s, e := cs.start[f], cs.start[f+1]
-		if s == e {
-			continue
-		}
-		gain, thr := b.scoreFeature(n, parentSS, cs.row[s:e], cs.cnt[s:e])
-		if gain > n.bestGain {
-			n.bestGain = gain
-			n.bestFeat = int32(f)
-			n.bestN = thr
 		}
 	}
 	if n.bestGain == 0 {
@@ -208,19 +216,19 @@ func (b *builder) findBest(n *node) {
 
 // scoreFeature scans one feature's candidate thresholds and returns the
 // best achievable gain for this node along with its threshold (the first
-// threshold in ascending order attaining that gain). rows/cnts are the
-// node's members with a nonzero count, presorted by (count, row); all
+// threshold in ascending order attaining that gain). ents are the node's
+// members with a nonzero count, packed and presorted by (count, row); all
 // remaining members implicitly have count 0. A gain of 0 means no
 // admissible split.
-func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (bestGain float64, bestThr int32) {
+func (b *builder) scoreFeature(n *node, parentSS float64, ents []uint64) (bestGain float64, bestThr int32) {
 	m := n.count()
-	nz := m - len(rows) // members with implicit zero count
+	nz := m - len(ents) // members with implicit zero count
 	ys := b.m.ys
 
 	// Zero-side aggregates.
 	var nzSum, nzSumsq float64
-	for _, r := range rows {
-		y := ys[r]
+	for _, e := range ents {
+		y := ys[entRow(e)]
 		nzSum += y
 		nzSumsq += y * y
 	}
@@ -233,7 +241,7 @@ func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (b
 	leftN := nz
 	leftSum, leftSumsq := zeroSum, zeroSumsq
 	i := 0
-	for i <= len(rows) {
+	for i <= len(ents) {
 		// Threshold = count value of the left side's maximum; first
 		// iteration (i==0) corresponds to threshold 0 (zeros only).
 		if leftN >= minLeaf && m-leftN >= minLeaf && leftN > 0 && leftN < m {
@@ -246,19 +254,19 @@ func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (b
 			if gain > bestGain {
 				thr := int32(0)
 				if i > 0 {
-					thr = cnts[i-1]
+					thr = entCnt(ents[i-1])
 				}
 				bestGain = gain
 				bestThr = thr
 			}
 		}
-		if i == len(rows) {
+		if i == len(ents) {
 			break
 		}
 		// Absorb the next run of equal counts into the left side.
-		c := cnts[i]
-		for i < len(rows) && cnts[i] == c {
-			y := ys[rows[i]]
+		c := entCnt(ents[i])
+		for i < len(ents) && entCnt(ents[i]) == c {
+			y := ys[entRow(ents[i])]
 			leftN++
 			leftSum += y
 			leftSumsq += y * y
@@ -269,9 +277,10 @@ func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (b
 }
 
 // applySplit turns a leaf with a computed best split into an internal
-// node: the membership slice and every column slice are stably
-// partitioned between the children, and the children's candidate splits
-// are computed.
+// node: the membership slice and every live column slice are stably
+// partitioned between the children, columns that fall below MinLeaf
+// entries on a side are dropped from that side, and the children's
+// candidate splits are computed.
 func (b *builder) applySplit(n *node) {
 	m := b.m
 	cs := n.cols
@@ -280,56 +289,62 @@ func (b *builder) applySplit(n *node) {
 
 	// Mark the right side: members whose count exceeds the threshold.
 	// Everyone else (including implicit zeros) goes left.
-	for k := cs.start[f]; k < cs.start[f+1]; k++ {
-		if cs.cnt[k] > thr {
-			b.flag[cs.row[k]] = true
+	bi, _ := slices.BinarySearch(cs.feat, f)
+	for _, e := range cs.ent[cs.start[bi]:cs.start[bi+1]] {
+		if entCnt(e) > thr {
+			b.flag[entRow(e)] = true
 		}
 	}
-
-	// Partition every feature column stably between the children.
-	left := &node{}
-	right := &node{}
-	lcs := b.getColSet()
-	rcs := b.getColSet()
-	lcs.start = append(lcs.start, 0)
-	rcs.start = append(rcs.start, 0)
-	for ff := 0; ff < m.NumFeatures(); ff++ {
-		for k := cs.start[ff]; k < cs.start[ff+1]; k++ {
-			r := cs.row[k]
-			if b.flag[r] {
-				rcs.row = append(rcs.row, r)
-				rcs.cnt = append(rcs.cnt, cs.cnt[k])
-			} else {
-				lcs.row = append(lcs.row, r)
-				lcs.cnt = append(lcs.cnt, cs.cnt[k])
-			}
-		}
-		lcs.start = append(lcs.start, int32(len(lcs.row)))
-		rcs.start = append(rcs.start, int32(len(rcs.row)))
-	}
-	left.cols, right.cols = lcs, rcs
 
 	// Partition the membership slice stably, accumulating each side's
-	// response sums in member order.
+	// response sums in member order and its members' nonzero counts, which
+	// bound the side's column entries.
+	left := &node{}
+	right := &node{}
+	var lnnz, rnnz int
 	b.tmp = b.tmp[:0]
 	w := n.lo
 	for i := n.lo; i < n.hi; i++ {
 		r := b.rows[i]
 		y := m.ys[r]
+		nnz := int(m.rowStart[r+1] - m.rowStart[r])
 		if b.flag[r] {
 			b.tmp = append(b.tmp, r)
 			right.sum += y
 			right.sumsq += y * y
+			rnnz += nnz
 		} else {
 			b.rows[w] = r
 			w++
 			left.sum += y
 			left.sumsq += y * y
+			lnnz += nnz
 		}
 	}
 	copy(b.rows[w:n.hi], b.tmp)
 	left.lo, left.hi = n.lo, w
 	right.lo, right.hi = w, n.hi
+
+	// Partition every live column stably between the children, writing
+	// by index.
+	lcs := b.getColSet(min(lnnz, len(cs.ent)))
+	rcs := b.getColSet(min(rnnz, len(cs.ent)))
+	var lw, rw int32 // entries written
+	for i, ff := range cs.feat {
+		for _, e := range cs.ent[cs.start[i]:cs.start[i+1]] {
+			if b.flag[entRow(e)] {
+				rcs.ent[rw] = e
+				rw++
+			} else {
+				lcs.ent[lw] = e
+				lw++
+			}
+		}
+		lw = lcs.endCol(ff, lw, b.opt.MinLeaf)
+		rw = rcs.endCol(ff, rw, b.opt.MinLeaf)
+	}
+	lcs.ent, rcs.ent = lcs.ent[:lw], rcs.ent[:rw]
+	left.cols, right.cols = lcs, rcs
 
 	// Clear the side flags (tmp holds exactly the marked rows).
 	for _, r := range b.tmp {

@@ -15,8 +15,8 @@ import (
 //
 //   - row-major CSR (per-row feature lists, ascending feature ID) for
 //     O(log nnz(row)) count lookups during prediction and split routing;
-//   - column-major CSR (per-feature (row, count) pairs, presorted by
-//     (count, row)) as the presorted feature index that Build's split
+//   - column-major CSR (per-feature packed (count, row) entries, presorted
+//     by (count, row)) as the presorted feature index that Build's split
 //     search scans with prefix-sum aggregates, never re-sorting.
 //
 // A Matrix is immutable after IndexDataset and safe for concurrent use by
@@ -34,12 +34,12 @@ type Matrix struct {
 	rowCnt   []int32
 
 	// Column-major CSR: feature f's nonzero observations are
-	// colRow[colStart[f]:colStart[f+1]] with parallel counts colCnt,
-	// sorted by (count, row). Any subsequence of a column (a node's
-	// members) is therefore already in threshold-scan order.
+	// colEnt[colStart[f]:colStart[f+1]], each packed as count<<32 | row
+	// and sorted ascending, i.e. by (count, row). Any subsequence of a
+	// column (a node's members) is therefore already in threshold-scan
+	// order.
 	colStart []int32
-	colRow   []int32
-	colCnt   []int32
+	colEnt   []uint64
 }
 
 // NumRows returns the number of observations.
@@ -168,11 +168,11 @@ func FromCSR(eips []uint64, ys []float64, rowStart, rowFeat, rowCnt []int32) *Ma
 }
 
 // buildColumns derives the presorted column-major CSR from the row-major
-// form: counting sort by feature, then one stable (count, row) sort per
-// feature via packed keys.
+// form: counting sort by feature into packed count<<32|row entries, then
+// one in-place sort of each feature's sub-slice. Rows within a feature are
+// unique, so sorting the packed entries orders them by (count, row).
 func (m *Matrix) buildColumns() {
 	F := len(m.eips)
-	nnz := len(m.rowFeat)
 	m.colStart = make([]int32, F+1)
 	for _, f := range m.rowFeat {
 		m.colStart[f+1]++
@@ -181,36 +181,24 @@ func (m *Matrix) buildColumns() {
 		m.colStart[f+1] += m.colStart[f]
 	}
 
-	m.colRow = make([]int32, nnz)
-	m.colCnt = make([]int32, nnz)
+	m.colEnt = make([]uint64, len(m.rowFeat))
 	fill := make([]int32, F)
 	for r := 0; r < len(m.ys); r++ {
 		for k := m.rowStart[r]; k < m.rowStart[r+1]; k++ {
 			f := m.rowFeat[k]
-			pos := m.colStart[f] + fill[f]
-			m.colRow[pos] = int32(r)
-			m.colCnt[pos] = m.rowCnt[k]
+			m.colEnt[m.colStart[f]+fill[f]] = packEnt(m.rowCnt[k], int32(r))
 			fill[f]++
 		}
 	}
-
-	// Per-feature (count, row) sort. Rows within a feature are unique, so
-	// packing count into the high half makes an unstable sort of the keys
-	// a stable-by-count sort of the entries.
-	var keys []uint64
 	for f := 0; f < F; f++ {
-		s, e := m.colStart[f], m.colStart[f+1]
-		if e-s < 2 {
-			continue
-		}
-		keys = keys[:0]
-		for k := s; k < e; k++ {
-			keys = append(keys, uint64(uint32(m.colCnt[k]))<<32|uint64(uint32(m.colRow[k])))
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			m.colCnt[s+int32(i)] = int32(k >> 32)
-			m.colRow[s+int32(i)] = int32(uint32(k))
-		}
+		slices.Sort(m.colEnt[m.colStart[f]:m.colStart[f+1]])
 	}
 }
+
+// packEnt packs one column entry as count<<32 | row, so that ascending
+// uint64 order is (count, row) order.
+func packEnt(cnt, row int32) uint64 { return uint64(uint32(cnt))<<32 | uint64(uint32(row)) }
+
+// entRow and entCnt unpack a column entry.
+func entRow(e uint64) int32 { return int32(uint32(e)) }
+func entCnt(e uint64) int32 { return int32(e >> 32) }

@@ -12,12 +12,12 @@
 //
 // The split-search kernel is columnar: IndexDataset remaps the sparse
 // uint64 EIP space to dense int32 feature IDs and presorts each feature's
-// (row, count) column once, and growth partitions a row-membership array
-// in place so every node scans only its members' slices of the presorted
-// columns with prefix-sum aggregates — no per-node maps, sorts, or
-// steady-state allocations (scratch comes from a sync.Pool). reference.go
-// retains the original map-based kernel as the oracle the equivalence
-// tests compare against.
+// packed (count, row) column once, and growth partitions a row-membership
+// array in place so every node scans only its members' slices of the
+// columns that can still split it, with prefix-sum aggregates — no
+// per-node maps, sorts, or steady-state allocations (scratch comes from a
+// sync.Pool). reference_test.go retains the original map-based kernel as
+// the oracle the equivalence tests compare against.
 //
 // CrossValidate implements the 10-fold procedure of §4.4 and returns the
 // relative error curve RE_k; 1−RE is the fraction of CPI variance EIPs can
@@ -373,6 +373,9 @@ type foldPredictor func(row int32, k int) float64
 // per fold; a cancelled run returns ctx.Err().
 func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, seed uint64,
 	buildFold func(train []int32, buildOpt Options) foldPredictor) (CVResult, error) {
+	if opt.MaxLeaves < 1 {
+		return CVResult{}, fmt.Errorf("rtree: need at least 1 leaf, got MaxLeaves %d", opt.MaxLeaves)
+	}
 	if folds < 2 {
 		return CVResult{}, fmt.Errorf("rtree: need at least 2 folds, got %d", folds)
 	}

@@ -215,6 +215,19 @@ func TestCrossValidateErrors(t *testing.T) {
 	if _, err := CrossValidate(make(Dataset, 100), DefaultOptions(), 1, 1); err == nil {
 		t.Fatal("folds=1 did not error")
 	}
+	// A leaf cap below 1 is an error, not a panic in a fold worker, on
+	// both the constant-CPI and the regular path, serial and parallel.
+	noisy := randomDataset(xrand.New(7), 100, 10, 0.3)
+	for _, data := range []Dataset{make(Dataset, 100), noisy} {
+		for _, ml := range []int{0, -1} {
+			for _, par := range []int{1, 4} {
+				opt := Options{MaxLeaves: ml, MinLeaf: 2, Parallelism: par}
+				if _, err := CrossValidate(data, opt, 10, 1); err == nil {
+					t.Fatalf("MaxLeaves=%d Parallelism=%d did not error", ml, par)
+				}
+			}
+		}
+	}
 }
 
 func TestSplitPartitionProperty(t *testing.T) {

@@ -110,6 +110,23 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRejected: a negative leaf cap or fold count is a
+// 400, and the process survives to answer the next request.
+func TestNegativeOptionsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, path := range []string{
+		"/v1/analyze/spec.gzip?max-leaves=-1",
+		"/v1/analyze/spec.gzip?folds=-1",
+	} {
+		if code, body := get(t, ts.URL+path); code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400 (%s)", path, code, strings.TrimSpace(body))
+		}
+	}
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz after rejected requests = %d %q", code, body)
+	}
+}
+
 // TestRequestTimeout: an aggressive ?timeout= on a fresh (uncached) heavy
 // analysis must come back 504, and the key must remain computable.
 func TestRequestTimeout(t *testing.T) {
