@@ -76,4 +76,17 @@ func BenchmarkKMeansBestRE(b *testing.B) {
 			}
 		}
 	})
+	// sjas's shape: 311 rows, ~26k features, ~800 nonzeros per row, where
+	// the §4.6 sweep costs the most.
+	b.Run("longtail", func(b *testing.B) {
+		vectors, ys := wideVectors(xrand.New(42), 311, 27000, 1000)
+		m := IndexVectors(vectors)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := m.BestRE(ys, 50, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

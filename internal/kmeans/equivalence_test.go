@@ -1,6 +1,9 @@
 package kmeans
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +112,99 @@ func TestEquivalenceBestRE(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wideVectors builds long-tail data shaped like the big-footprint
+// workloads: thousands of features, hundreds of nonzeros per row drawn
+// partly from one of a few hot regions and partly from the whole feature
+// range, skewed counts, and copies of earlier rows so that empty-cluster
+// re-seeding and the all-centers-chosen seeding fallback both fire.
+func wideVectors(rng *xrand.Rand, n, feats, perRow int) ([]Vector, []float64) {
+	const regions = 6
+	vectors := make([]Vector, n)
+	ys := make([]float64, n)
+	for i := range vectors {
+		if i > 0 && rng.Bool(0.2) {
+			src := rng.Intn(i)
+			v := Vector{}
+			for f, c := range vectors[src] {
+				v[f] = c
+			}
+			vectors[i], ys[i] = v, ys[src]+rng.Norm(0, 0.05)
+			continue
+		}
+		region := rng.Intn(regions)
+		v := Vector{}
+		for s := 0; s < perRow; s++ {
+			f := rng.Intn(feats)
+			if rng.Bool(0.7) {
+				f = region*feats/regions + rng.Intn(feats/(4*regions))
+			}
+			v[uint64(f)] += 1 + int(rng.Exp(3))
+		}
+		vectors[i], ys[i] = v, float64(region)+rng.Norm(0, 0.3)
+	}
+	return vectors, ys
+}
+
+// TestEquivalenceWide locks the blocked, feature-major kernel against the
+// reference on wide long-tail data: Cluster at every k in 1..50 (every
+// block tail k ≡ 0..3 mod 4), and BestRE against the minimum over
+// independent reference Cluster calls, which locks the shared seeding.
+func TestEquivalenceWide(t *testing.T) {
+	// Seed 3 yields fewer distinct rows than the largest k, so Lloyd
+	// re-seeds empty clusters there.
+	const seed = 3
+	vectors, ys := wideVectors(xrand.New(seed), 64, 4000, 300)
+	m := IndexVectors(vectors)
+	if m.NumFeatures() < 2000 || len(m.rowFeat) < 200*m.NumRows() {
+		t.Fatalf("%d features, %d nonzeros: not wide enough", m.NumFeatures(), len(m.rowFeat))
+	}
+	refRE := make(map[int]float64)
+	for k := 1; k <= 50; k++ {
+		ref, err1 := referenceCluster(vectors, k, seed, 40)
+		dense, err2 := m.Cluster(k, seed, 40)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		sameResult(t, ref, dense, fmt.Sprintf("k=%d", k))
+		refRE[k] = PredictRE(ref, ys)
+		if got := PredictRE(dense, ys); got != refRE[k] {
+			t.Fatalf("k=%d: PredictRE %v (reference) vs %v (dense)", k, refRE[k], got)
+		}
+	}
+	grid := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 26, 32, 40, 50}
+	for _, maxK := range []int{1, 7, 9, 50} {
+		wantRE, wantK := math.Inf(1), 1
+		for _, k := range grid {
+			if k <= maxK && refRE[k] < wantRE {
+				wantRE, wantK = refRE[k], k
+			}
+		}
+		re, k, err := m.BestRE(ys, maxK, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re != wantRE || k != wantK {
+			t.Fatalf("maxK %d: BestRE (%v, %d), reference minimum (%v, %d)", maxK, re, k, wantRE, wantK)
+		}
+	}
+}
+
+// TestSeedRowsPrefix: under one seed, the k-means++ picks for k are the
+// first k picks for any larger k — the property BestRE's single seeding
+// relies on.
+func TestSeedRowsPrefix(t *testing.T) {
+	vectors, _ := wideVectors(xrand.New(3), 64, 4000, 300)
+	m := IndexVectors(vectors)
+	for _, seed := range []uint64{1, 2, 3} {
+		all := m.seedRows(64, seed)
+		for k := 1; k < len(all); k++ {
+			if got := m.seedRows(k, seed); !slices.Equal(got, all[:k]) {
+				t.Fatalf("seed %d: seedRows(%d) = %v, want prefix %v", seed, k, got, all[:k])
+			}
+		}
 	}
 }
 

@@ -163,3 +163,16 @@ func TestEmptyClusterReseeded(t *testing.T) {
 		}
 	}
 }
+
+func TestBestREInvalidInput(t *testing.T) {
+	if _, _, err := IndexVectors(nil).BestRE(nil, 50, 1); err == nil {
+		t.Fatal("BestRE on an empty matrix did not error")
+	}
+	rng := xrand.New(9)
+	vectors, ys := twoBlobs(10, rng)
+	for _, maxK := range []int{0, -1} {
+		if _, _, err := BestRE(vectors, ys, maxK, 1); err == nil {
+			t.Fatalf("BestRE with maxK=%d did not error", maxK)
+		}
+	}
+}

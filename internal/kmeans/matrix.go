@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -20,7 +21,7 @@ import (
 // features ascending; dense centroid passes over the full feature range
 // ascending), so results are bit-identical across runs, map-hash seeds
 // and Parallelism settings — the property the map-backed kernel lacked.
-// The retained reference oracle (reference.go) pins the semantics.
+// The retained reference oracle (reference_test.go) pins the semantics.
 //
 // A Matrix is immutable after construction and safe for concurrent use by
 // any number of Cluster/BestRE calls.
@@ -137,126 +138,216 @@ func (m *Matrix) Row(r int) (feat, cnt []int32) {
 	return m.rowFeat[lo:hi], m.rowCnt[lo:hi]
 }
 
-// centroids holds k dense centroid accumulators over f features, stored
-// row-major in one slab. The accumulation orders mirror the reference
-// oracle's sorted-key map walks exactly: absent features contribute +0.0
-// to every sum, which float64 addition leaves bit-unchanged.
+// centroids holds k dense centroids over f features in one feature-major
+// slab: v[f*k+c] is cluster c's value for feature f, so a row's features
+// gather every cluster's value from one contiguous run each. The centroid
+// update accumulates sums in the slab and then replaces each with the
+// exact quotient sum/n — the per-feature mean the reference oracle divides
+// out on every distance — so distances multiply by stored means. Absent
+// features contribute +0.0 to every sum, which float64 addition leaves
+// bit-unchanged.
 type centroids struct {
-	f     int
-	sum   []float64 // cluster c's sums occupy sum[c*f : (c+1)*f]
+	k     int
+	v     []float64 // feature-major: cluster c's feature f at v[f*k+c]
 	n     []int
 	norm2 []float64 // cached squared norm of each mean
+	dots  []float64 // scratch: one row's dot product with each mean
+	inv   []float64 // scratch: 1/n per cluster
 }
 
-func newCentroids(k, f int) *centroids {
-	return &centroids{f: f, sum: make([]float64, k*f), n: make([]int, k), norm2: make([]float64, k)}
-}
-
-// setTo resets cluster c to exactly row r (the seeding and empty-cluster
-// re-seeding primitive).
-func (cs *centroids) setTo(c int, m *Matrix, r int) {
-	row := cs.sum[c*cs.f : (c+1)*cs.f]
-	for i := range row {
-		row[i] = 0
+// newCentroids lays k centroids over f features out in slab, zeroed,
+// when its capacity holds k·f values, and in a new slab otherwise.
+func newCentroids(k, f int, slab []float64) *centroids {
+	if cap(slab) < k*f {
+		slab = make([]float64, k*f)
+	} else {
+		slab = slab[:k*f]
+		clear(slab)
 	}
+	return &centroids{
+		k:     k,
+		v:     slab,
+		n:     make([]int, k),
+		norm2: make([]float64, k),
+		dots:  make([]float64, k),
+		inv:   make([]float64, k),
+	}
+}
+
+// setTo sets cluster c's mean to exactly row r (the seeding and
+// empty-cluster re-seeding primitive). Cluster c's slab entries must all
+// be zero, as they are in a fresh slab and for a cluster update left
+// empty. The mean's squared norm is the row's cached norm: the same
+// squares in the same ascending order, with absent features adding +0.0.
+func (cs *centroids) setTo(c int, m *Matrix, r int) {
 	feat, cnt := m.Row(r)
 	for j, f := range feat {
-		row[f] = float64(cnt[j])
+		cs.v[int(f)*cs.k+c] = float64(cnt[j])
 	}
 	cs.n[c] = 1
+	cs.norm2[c] = m.norms[r]
 }
 
-// finalize caches |mean|², scanning features in ascending order.
-func (cs *centroids) finalize(c int) {
-	cs.norm2[c] = 0
-	if cs.n[c] == 0 {
-		return
-	}
-	inv := 1 / float64(cs.n[c])
-	row := cs.sum[c*cs.f : (c+1)*cs.f]
-	for _, s := range row {
-		mv := s * inv
-		cs.norm2[c] += mv * mv
-	}
-}
-
-// dist2 returns squared Euclidean distance between row r and cluster c's
-// mean, computed sparsely: |v|² − 2·v·μ + |μ|². The dot product walks the
-// row's features in ascending-ID order, dividing each centroid sum by n
-// (the same per-feature mean the reference oracle computes).
-func (cs *centroids) dist2(c int, m *Matrix, r int) float64 {
-	dot := 0.0
-	if n := float64(cs.n[c]); n > 0 {
-		row := cs.sum[c*cs.f : (c+1)*cs.f]
-		feat, cnt := m.Row(r)
-		for j, f := range feat {
-			dot += float64(cnt[j]) * (row[f] / n)
-		}
-	}
-	d := m.norms[r] - 2*dot + cs.norm2[c]
+// sqDist assembles a squared Euclidean distance from its sparse parts,
+// |v|² − 2·v·μ + |μ|², clamped at zero against cancellation.
+func sqDist(rowNorm, dot, meanNorm float64) float64 {
+	d := rowNorm - 2*dot + meanNorm
 	if d < 0 {
 		d = 0
 	}
 	return d
 }
 
-// Cluster partitions the matrix's rows into k clusters with k-means++
-// seeding and Lloyd iterations, deterministic under the explicit seed. It
-// returns an error if k is not in [1, NumRows]. The random draw sequence,
-// tie-breaks and floating-point accumulation orders reproduce the
-// reference oracle (reference.go) bit-for-bit.
-func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
-	n := m.NumRows()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("kmeans: k=%d outside [1, %d]", k, n)
+// dot returns the dot product of a row's (feat, cnt) pairs with cluster
+// c's mean, walking the row's features in ascending-ID order.
+func (cs *centroids) dot(c int, feat, cnt []int32) float64 {
+	d := 0.0
+	for j, f := range feat {
+		d += float64(cnt[j]) * cs.v[int(f)*cs.k+c]
 	}
-	if maxIter < 1 {
-		maxIter = 50
-	}
-	rng := xrand.New(seed ^ 0x4b3a)
-	cs := newCentroids(k, m.NumFeatures())
+	return d
+}
 
-	// k-means++ seeding.
-	centers := 0
-	addCenter := func(i int) {
-		cs.setTo(centers, m, i)
-		cs.finalize(centers)
-		centers++
+// dist2 returns the squared distance between row r and cluster c's mean.
+func (cs *centroids) dist2(c int, m *Matrix, r int) float64 {
+	feat, cnt := m.Row(r)
+	return sqDist(m.norms[r], cs.dot(c, feat, cnt), cs.norm2[c])
+}
+
+// rowDots fills cs.dots with row r's dot product against every cluster's
+// mean in one sweep: clusters go in register blocks of four, then a
+// scalar tail. Each cluster's sum still walks the row's features in
+// ascending order, so every value is bit-equal to dot's.
+func (cs *centroids) rowDots(m *Matrix, r int) {
+	feat, cnt := m.Row(r)
+	k, v := cs.k, cs.v
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		var d0, d1, d2, d3 float64
+		for j, f := range feat {
+			x := float64(cnt[j])
+			i := int(f)*k + c
+			mu := v[i : i+4 : i+4]
+			d0 += x * mu[0]
+			d1 += x * mu[1]
+			d2 += x * mu[2]
+			d3 += x * mu[3]
+		}
+		cs.dots[c], cs.dots[c+1], cs.dots[c+2], cs.dots[c+3] = d0, d1, d2, d3
 	}
-	addCenter(rng.Intn(n))
+	for ; c < k; c++ {
+		cs.dots[c] = cs.dot(c, feat, cnt)
+	}
+}
+
+// update recomputes every cluster's sums from the assignment (rows
+// ascending, features ascending within each row), then finishes all
+// clusters in one feature-ascending pass: each |mean|² accumulates
+// (s·(1/n))² exactly as the reference's finalize does, and each sum is
+// replaced by the quotient s/n. Zero sums are skipped, since their
+// quotient is +0.0 and their square adds +0.0. The norms land in fresh,
+// not norm2, so the caller publishes them cluster by cluster.
+func (cs *centroids) update(m *Matrix, assign []int, fresh []float64) {
+	k := cs.k
+	clear(cs.v)
+	clear(cs.n)
+	for i, c := range assign {
+		cs.n[c]++
+		feat, cnt := m.Row(i)
+		for j, f := range feat {
+			cs.v[int(f)*k+c] += float64(cnt[j])
+		}
+	}
+	for c, n := range cs.n {
+		fresh[c] = 0
+		if n > 0 {
+			cs.inv[c] = 1 / float64(n)
+		}
+	}
+	for f := 0; f < len(cs.v); f += k {
+		col := cs.v[f : f+k]
+		for c, s := range col {
+			if s == 0 {
+				continue
+			}
+			mu := s * cs.inv[c]
+			fresh[c] += mu * mu
+			col[c] = s / float64(cs.n[c])
+		}
+	}
+}
+
+// seedRows returns the k-means++ seed rows for k clusters. Each pick
+// depends only on earlier draws and earlier centers, so under one seed the
+// picks for k are a prefix of the picks for any larger k. A center's mean
+// is its row (n = 1), so distances to it dot each row with a dense scatter
+// of the center row, and its |mean|² is the row's cached norm.
+func (m *Matrix) seedRows(k int, seed uint64) []int {
+	n := m.NumRows()
+	rng := xrand.New(seed ^ 0x4b3a)
+	center := make([]float64, m.NumFeatures())
 	minD := make([]float64, n)
 	for i := range minD {
-		minD[i] = cs.dist2(0, m, i)
+		minD[i] = math.Inf(1)
 	}
-	for centers < k {
+	rows := make([]int, 0, k)
+	pick := rng.Intn(n)
+	for {
+		rows = append(rows, pick)
+		if len(rows) == k {
+			return rows
+		}
+		feat, cnt := m.Row(pick)
+		for j, f := range feat {
+			center[f] = float64(cnt[j])
+		}
+		for i := range minD {
+			rf, rc := m.Row(i)
+			dot := 0.0
+			for j, f := range rf {
+				dot += float64(rc[j]) * center[f]
+			}
+			if d := sqDist(m.norms[i], dot, m.norms[pick]); d < minD[i] {
+				minD[i] = d
+			}
+		}
+		for _, f := range feat {
+			center[f] = 0
+		}
+
 		total := 0.0
 		for _, d := range minD {
 			total += d
 		}
-		var pick int
 		if total <= 0 {
 			pick = rng.Intn(n)
-		} else {
-			r := rng.Float64() * total
-			acc := 0.0
-			pick = n - 1
-			for i, d := range minD {
-				acc += d
-				if acc >= r {
-					pick = i
-					break
-				}
-			}
+			continue
 		}
-		addCenter(pick)
-		last := centers - 1
-		for i := range minD {
-			if d := cs.dist2(last, m, i); d < minD[i] {
-				minD[i] = d
+		r := rng.Float64() * total
+		acc := 0.0
+		pick = n - 1
+		for i, d := range minD {
+			acc += d
+			if acc >= r {
+				pick = i
+				break
 			}
 		}
 	}
+}
 
+// lloyd runs Lloyd iterations from the given seed rows, one per cluster,
+// keeping the centroids in slab when it is large enough (see newCentroids).
+func (m *Matrix) lloyd(centers []int, maxIter int, slab []float64) *Result {
+	if maxIter < 1 {
+		maxIter = 50
+	}
+	n, k := m.NumRows(), len(centers)
+	cs := newCentroids(k, m.NumFeatures(), slab)
+	for c, r := range centers {
+		cs.setTo(c, m, r)
+	}
+	fresh := make([]float64, k)
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -266,9 +357,10 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 		res.Iterations = iter + 1
 		changed := false
 		for i := 0; i < n; i++ {
+			cs.rowDots(m, i)
 			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := cs.dist2(c, m, i); d < bestD {
+			for c, dot := range cs.dots {
+				if d := sqDist(m.norms[i], dot, cs.norm2[c]); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -280,27 +372,11 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 		if !changed {
 			break
 		}
-		// Recompute centroids: rows ascending, features ascending within
-		// each row.
-		for i := range cs.sum {
-			cs.sum[i] = 0
-		}
-		for c := 0; c < k; c++ {
-			cs.n[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			c := assign[i]
-			cs.n[c]++
-			row := cs.sum[c*cs.f : (c+1)*cs.f]
-			feat, cnt := m.Row(i)
-			for j, f := range feat {
-				row[f] += float64(cnt[j])
-			}
-		}
+		cs.update(m, assign, fresh)
 		for c := 0; c < k; c++ {
 			if cs.n[c] == 0 {
 				// Re-seed an empty cluster on the farthest point. Like the
-				// original kernel, the search sees fresh sums but norm2
+				// original kernel, the search sees fresh means but norm2
 				// caches that are only refreshed for clusters below c —
 				// a quirk, but part of the pinned semantics.
 				far, farD := 0, -1.0
@@ -311,36 +387,56 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 				}
 				cs.setTo(c, m, far)
 				assign[far] = c
+				continue
 			}
-			cs.finalize(c)
+			cs.norm2[c] = fresh[c]
 		}
 	}
 	res.Sizes = make([]int, k)
 	for _, a := range assign {
 		res.Sizes[a]++
 	}
-	return res, nil
+	return res
+}
+
+// Cluster partitions the matrix's rows into k clusters with k-means++
+// seeding and Lloyd iterations, deterministic under the explicit seed. It
+// returns an error if k is not in [1, NumRows]. The random draw sequence,
+// tie-breaks and floating-point accumulation orders reproduce the
+// reference oracle (reference_test.go) bit-for-bit.
+func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
+	if n := m.NumRows(); k < 1 || k > n {
+		return nil, fmt.Errorf("kmeans: k=%d outside [1, %d]", k, n)
+	}
+	return m.lloyd(m.seedRows(k, seed), maxIter, nil), nil
 }
 
 // BestRE sweeps k over a graded grid up to maxK and returns the minimum
 // PredictRE and its k (the paper picks each algorithm's best k <= 50
 // independently, §4.6). The grid is dense for small k — where the curve
-// moves — and sparse beyond 10, bounding the sweep's cost.
+// moves — and sparse beyond 10, bounding the sweep's cost. Seeding runs
+// once, for the largest k; every smaller k starts Lloyd from a prefix of
+// those seeds, which is exactly what Cluster would seed it with, and
+// every k reuses one centroid slab. It
+// returns an error for an empty matrix or maxK < 1.
 func (m *Matrix) BestRE(ys []float64, maxK int, seed uint64) (float64, int, error) {
-	if maxK > m.NumRows() {
-		maxK = m.NumRows()
+	n := m.NumRows()
+	if n == 0 {
+		return 0, 0, errors.New("kmeans: BestRE on an empty matrix")
 	}
+	if maxK < 1 {
+		return 0, 0, fmt.Errorf("kmeans: BestRE maxK=%d, want >= 1", maxK)
+	}
+	maxK = min(maxK, n)
 	grid := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 26, 32, 40, 50}
+	for grid[len(grid)-1] > maxK {
+		grid = grid[:len(grid)-1]
+	}
+	seeds := m.seedRows(grid[len(grid)-1], seed)
+	slab := make([]float64, len(seeds)*m.NumFeatures())
 	bestRE, bestK := math.Inf(1), 1
 	for _, k := range grid {
-		if k > maxK {
-			break
-		}
-		res, err := m.Cluster(k, seed, 40)
-		if err != nil {
-			return 0, 0, err
-		}
-		if re := PredictRE(res, ys); re < bestRE {
+		if re := PredictRE(m.lloyd(seeds[:k], 40, slab), ys); re < bestRE {
 			bestRE, bestK = re, k
 		}
 	}
