@@ -58,23 +58,11 @@ import (
 
 	fuzzyphase "repro"
 	"repro/internal/cpu"
-	"repro/internal/eipv"
 	"repro/internal/experiment"
 	"repro/internal/optcodec"
 	"repro/internal/profiler"
-	"repro/internal/rtree"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
-
-// intervalsOrDefault resolves the -intervals flag for commands that talk
-// to the profiler directly.
-func intervalsOrDefault(n int) int {
-	if n > 0 {
-		return n
-	}
-	return experiment.DefaultIntervals
-}
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fuzzyphase <command> [args] [flags]
@@ -87,8 +75,6 @@ commands:
   table <1|2>                  regenerate a paper table
   compare-kmeans <workload>..  regression tree vs k-means (paper 4.6)
   compare-bbv <workload>..     sampled EIPVs vs full BBVs (paper 3.3, deferred)
-  save-profile <workload> <f>  collect a profile and archive it as JSON
-  analyze-profile <f>          re-analyze an archived profile offline
   export <workload> <f>        export a workload's EIPV profile (profilefmt)
   import <f>                   analyze or convert an external profile
   sampling [budget]            evaluate sampling techniques (paper 7)
@@ -262,53 +248,6 @@ func main() {
 			fatal(err)
 		}
 		experiment.RenderTreeVsKMeans(os.Stdout, rows)
-
-	case "save-profile":
-		if len(pos) != 2 {
-			usage()
-		}
-		col, err := profiler.CollectByName(pos[0], profiler.CollectOptions{
-			Machine:   opt.Machine,
-			Seed:      opt.Seed,
-			Intervals: intervalsOrDefault(opt.Intervals),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(pos[1])
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := col.Profile.WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d samples of %s to %s\n", len(col.Profile.Samples), pos[0], pos[1])
-
-	case "analyze-profile":
-		if len(pos) != 1 {
-			usage()
-		}
-		f, err := os.Open(pos[0])
-		if err != nil {
-			fatal(err)
-		}
-		prof, err := profiler.ReadProfile(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		set := eipv.Build(prof, workload.IntervalInsts).SkipWarmup(10)
-		mtx := rtree.IndexDataset(experiment.Dataset(set))
-		cv, err := mtx.CrossValidate(rtree.DefaultOptions(), 10, opt.Seed)
-		if err != nil {
-			fatal(err)
-		}
-		q := fuzzyphase.Classify(set.CPIVariance(), cv.REOpt)
-		fmt.Printf("%s (offline): %d EIPVs, CPI variance %.4f, RE_kopt %.3f at k=%d -> %s\n",
-			prof.Workload, len(set.Vectors), set.CPIVariance(), cv.REOpt, cv.KOpt, q)
 
 	case "export":
 		if len(pos) != 2 {

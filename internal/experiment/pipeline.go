@@ -188,7 +188,7 @@ func Analyze(name string, opt Options) (*Result, error) {
 // request cannot poison the cache for later callers.
 func AnalyzeCtx(ctx context.Context, name string, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	return analysisCache.get(ctx, cacheKey(name, opt), func(flight context.Context) (*Result, error) {
+	return analysisCache.Get(ctx, cacheKey(name, opt), func(flight context.Context) (*Result, error) {
 		return analyzeUncached(flight, name, opt)
 	})
 }
@@ -208,18 +208,11 @@ func analyzeUncached(ctx context.Context, name string, opt Options) (*Result, er
 	}
 
 	mtx := rtree.IndexDataset(Dataset(set))
-	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
-	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", name, err)
-	}
-
 	rs, rf, rc := mtx.RowCSR()
 	res := &Result{
 		Name:        name,
 		Machine:     opt.Machine.Name,
 		CPIVariance: set.CPIVariance(),
-		CV:          cv,
 		MeanCPI:     set.MeanCPI(),
 		UniqueEIPs:  mtx.NumFeatures(),
 		Intervals:   len(set.Vectors),
@@ -229,7 +222,9 @@ func analyzeUncached(ctx context.Context, name string, opt Options) (*Result, er
 		Profile:     col.Profile,
 		Space:       col.Space,
 	}
-	res.Quadrant = quadrant.Classify(res.CPIVariance, cv.REOpt)
+	if err := verdict(ctx, res, opt, name); err != nil {
+		return nil, err
+	}
 
 	// Mean breakdown over steady-state vectors.
 	for _, v := range set.Vectors {
@@ -248,4 +243,19 @@ func analyzeUncached(ctx context.Context, name string, opt Options) (*Result, er
 		res.SwitchesPerSec = float64(col.OS.ContextSwitches) / col.Seconds
 	}
 	return res, nil
+}
+
+// verdict is the rows→verdict core shared by the native and upload
+// pipelines: it cross-validates res.Matrix's regression tree under opt
+// and classifies (res.CPIVariance, RE_opt) into its quadrant. what names
+// the analyzed input in errors. ctx cancels the folds.
+func verdict(ctx context.Context, res *Result, opt Options, what string) error {
+	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
+	cv, err := res.Matrix.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
+	if err != nil {
+		return fmt.Errorf("experiment: %s: %w", what, err)
+	}
+	res.CV = cv
+	res.Quadrant = quadrant.Classify(res.CPIVariance, cv.REOpt)
+	return nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/profilefmt"
 	"repro/internal/quadrant"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 )
 
@@ -39,7 +38,7 @@ func AnalyzeProfile(contentKey string, p *profilefmt.Profile, opt Options) (*Res
 func AnalyzeProfileCtx(ctx context.Context, contentKey string, p *profilefmt.Profile, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	key := fmt.Sprintf("upload|%s|seed=%d|ml=%d|folds=%d", contentKey, opt.Seed, opt.MaxLeaves, opt.Folds)
-	return analysisCache.get(ctx, key, func(flight context.Context) (*Result, error) {
+	return analysisCache.Get(ctx, key, func(flight context.Context) (*Result, error) {
 		return analyzeProfileUncached(flight, p, opt)
 	})
 }
@@ -58,25 +57,20 @@ func analyzeProfileUncached(ctx context.Context, p *profilefmt.Profile, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
-	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: profile %q: %w", p.Name, err)
-	}
-
 	cpis := p.CPIs()
 	res := &Result{
 		Name:        p.Name,
 		Machine:     p.Machine,
 		CPIVariance: stats.Var(cpis),
-		CV:          cv,
 		MeanCPI:     stats.Mean(cpis),
 		UniqueEIPs:  mtx.NumFeatures(),
 		Intervals:   len(p.Rows),
 		Matrix:      mtx,
 		KMeans:      km,
 	}
-	res.Quadrant = quadrant.Classify(res.CPIVariance, cv.REOpt)
+	if err := verdict(ctx, res, opt, fmt.Sprintf("profile %q", p.Name)); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
