@@ -50,7 +50,7 @@ func BenchmarkTable1ExampleTree(b *testing.B) {
 func BenchmarkFigure2RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		curves, err := experiment.Figure2(context.Background(), benchOpt())
+		curves, err := experiment.Curves(context.Background(), []string{"odb-c", "sjas"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkFigure2RelativeError(b *testing.B) {
 func BenchmarkFigure3Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		spreads, err := experiment.Figure3(context.Background(), benchOpt())
+		spreads, err := experiment.Spreads(context.Background(), []string{"odb-c", "sjas"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,10 +74,11 @@ func BenchmarkFigure3Spread(b *testing.B) {
 func BenchmarkFigure4CPIBreakdownODBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		bd, err := experiment.Figure4(context.Background(), benchOpt())
+		all, err := experiment.Breakdowns(context.Background(), []string{"odb-c"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		bd := all[0]
 		report(b, "exe-share", bd.EXEShare)
 	}
 }
@@ -85,10 +86,11 @@ func BenchmarkFigure4CPIBreakdownODBC(b *testing.B) {
 func BenchmarkFigure5CPIBreakdownSjAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		bd, err := experiment.Figure5(context.Background(), benchOpt())
+		all, err := experiment.Breakdowns(context.Background(), []string{"sjas"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		bd := all[0]
 		report(b, "exe-share", bd.EXEShare)
 	}
 }
@@ -96,10 +98,11 @@ func BenchmarkFigure5CPIBreakdownSjAS(b *testing.B) {
 func BenchmarkFigure6ThreadSeparationODBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		tc, err := experiment.Figure6(context.Background(), benchOpt())
+		all, err := experiment.ThreadComparisons(context.Background(), []string{"odb-c"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		tc := all[0]
 		report(b, "nothread-RE", tc.NoThread.REOpt)
 		report(b, "thread-RE", tc.Thread.REOpt)
 	}
@@ -108,10 +111,11 @@ func BenchmarkFigure6ThreadSeparationODBC(b *testing.B) {
 func BenchmarkFigure7ThreadSeparationSjAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		tc, err := experiment.Figure7(context.Background(), benchOpt())
+		all, err := experiment.ThreadComparisons(context.Background(), []string{"sjas"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		tc := all[0]
 		report(b, "nothread-RE", tc.NoThread.REOpt)
 		report(b, "thread-RE", tc.Thread.REOpt)
 	}
@@ -120,10 +124,11 @@ func BenchmarkFigure7ThreadSeparationSjAS(b *testing.B) {
 func BenchmarkFigure8Q13RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		c, err := experiment.Figure8(context.Background(), benchOpt())
+		all, err := experiment.Curves(context.Background(), []string{"odb-h.q13"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := all[0]
 		report(b, "RE-kopt", c.REOpt)
 		report(b, "k-opt", float64(c.KOpt))
 	}
@@ -132,10 +137,11 @@ func BenchmarkFigure8Q13RelativeError(b *testing.B) {
 func BenchmarkFigure9Q13Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		s, err := experiment.Figure9(context.Background(), benchOpt())
+		all, err := experiment.Spreads(context.Background(), []string{"odb-h.q13"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		s := all[0]
 		report(b, "unique-eips", float64(s.UniqueEIPs))
 	}
 }
@@ -143,10 +149,11 @@ func BenchmarkFigure9Q13Spread(b *testing.B) {
 func BenchmarkFigure10Q18RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		c, err := experiment.Figure10(context.Background(), benchOpt())
+		all, err := experiment.Curves(context.Background(), []string{"odb-h.q18"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := all[0]
 		report(b, "RE-kopt", c.REOpt)
 	}
 }
@@ -154,10 +161,11 @@ func BenchmarkFigure10Q18RelativeError(b *testing.B) {
 func BenchmarkFigure11Q18Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		s, err := experiment.Figure11(context.Background(), benchOpt())
+		all, err := experiment.Spreads(context.Background(), []string{"odb-h.q18"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		s := all[0]
 		report(b, "cpi-var", s.CPIVariance)
 	}
 }
@@ -165,10 +173,11 @@ func BenchmarkFigure11Q18Spread(b *testing.B) {
 func BenchmarkFigure12Q18Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold()
-		bd, err := experiment.Figure12(context.Background(), benchOpt())
+		all, err := experiment.Breakdowns(context.Background(), []string{"odb-h.q18"}, benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
+		bd := all[0]
 		report(b, "exe-share", bd.EXEShare)
 	}
 }

@@ -33,10 +33,6 @@
 //	-profile-dir D persistent profile store (default $FUZZYPHASE_PROFILE_DIR);
 //	               collected profiles are content-addressed and reused across
 //	               runs — output is byte-identical with or without the store
-//	-trace-workers N lookahead trace-generation goroutines per cold
-//	               collection (default $FUZZYPHASE_TRACE_WORKERS; 0 follows
-//	               -parallel, negative forces inline generation; output is
-//	               byte-identical at any setting)
 //	-cachestats    print Analyze memoization stats to stderr on exit
 //	-cpuprofile F  write a CPU profile to F
 //	-memprofile F  write a heap profile to F on exit
@@ -47,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -85,7 +82,7 @@ commands:
 
 flags (after positional args): -seed -intervals -warmup -machine -threads
   -interval-insts -period -max-leaves -folds -parallel -profile-dir
-  -trace-workers -cachestats -cpuprofile -memprofile -pprof
+  -cachestats -cpuprofile -memprofile -pprof
 serve flags: -addr -cache-entries -timeout -grace -heavy-limit -heavy-queue
   -light-limit -light-queue -retry-after
 export/import flags: -format json|binary, -from auto|eipv|pprof|perf,
@@ -99,12 +96,7 @@ export/import flags: -format json|binary, -from auto|eipv|pprof|perf,
   -profile-dir D (default $FUZZYPHASE_PROFILE_DIR) keeps collected
   profiles in a persistent content-addressed store: reruns read the
   simulation's output from disk instead of re-simulating, with
-  byte-identical results.
-
-  -trace-workers N (default $FUZZYPHASE_TRACE_WORKERS) sets the lookahead
-  trace-generation goroutines used per cold collection: 0 follows
-  -parallel, negative forces inline generation. Like -parallel it never
-  changes output bytes, only wall-clock.`)
+  byte-identical results.`)
 	os.Exit(2)
 }
 
@@ -125,11 +117,7 @@ func main() {
 	// The analysis options come from the canonical optcodec table. opt is
 	// pre-seeded with the CLI's historical defaults; Bind's flags write
 	// straight into it during Parse.
-	opt := fuzzyphase.Options{
-		Seed:         1,
-		Machine:      cpu.Itanium2(),
-		TraceWorkers: envInt("FUZZYPHASE_TRACE_WORKERS"),
-	}
+	opt := fuzzyphase.Options{Seed: 1, Machine: cpu.Itanium2()}
 	optcodec.Bind(fs, &opt)
 	cachestats := fs.Bool("cachestats", false, "print Analyze cache stats to stderr on exit")
 	profileDir := fs.String("profile-dir", os.Getenv("FUZZYPHASE_PROFILE_DIR"),
@@ -201,14 +189,7 @@ func main() {
 		fmt.Print(fuzzyphase.Summary(res))
 
 	case "figure":
-		id := atoi(pos)
-		if *csv {
-			if err := figureCSV(id, opt); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := fuzzyphase.Figure(id, opt, os.Stdout); err != nil {
+		if err := experiment.Figure(context.Background(), atoi(pos), opt, os.Stdout, *csv); err != nil {
 			fatal(err)
 		}
 
@@ -238,17 +219,6 @@ func main() {
 		ex := experiment.Explain(res)
 		experiment.RenderExplanation(os.Stdout, res, ex)
 
-	case "compare-kmeans":
-		names := pos
-		if len(names) == 0 {
-			names = []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}
-		}
-		rows, err := experiment.Section46(context.Background(), names, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderTreeVsKMeans(os.Stdout, rows)
-
 	case "export":
 		if len(pos) != 2 {
 			usage()
@@ -265,29 +235,6 @@ func main() {
 			fatal(err)
 		}
 
-	case "compare-bbv":
-		names := pos
-		if len(names) == 0 {
-			names = []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}
-		}
-		rows, err := experiment.CompareBBV(context.Background(), names, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderBBVComparison(os.Stdout, rows)
-
-	case "sampling":
-		budget := 10
-		if len(pos) == 1 {
-			budget = atoi(pos)
-		}
-		names := []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}
-		rows, err := experiment.Section7Sampling(context.Background(), names, budget, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderSampling(os.Stdout, rows)
-
 	case "results":
 		dir := "results"
 		if len(pos) == 1 {
@@ -298,13 +245,6 @@ func main() {
 		if err := runResults(dir, opt); err != nil {
 			fatal(err)
 		}
-
-	case "sweep-interval":
-		rows, err := experiment.Section71Intervals(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderSweep(os.Stdout, "EIPV interval-size sweep (paper 7.1)", rows)
 
 	case "serve":
 		if len(pos) != 0 {
@@ -326,15 +266,14 @@ func main() {
 			fatal(err)
 		}
 
-	case "sweep-machine":
-		rows, err := experiment.Section71Machines(context.Background(), []string{"odb-c", "odb-h.q13", "spec.mcf"}, opt)
-		if err != nil {
+	default:
+		section, ok := sections[cmd]
+		if !ok {
+			usage()
+		}
+		if err := section(os.Stdout, pos, opt); err != nil {
 			fatal(err)
 		}
-		experiment.RenderSweep(os.Stdout, "machine-model sweep (paper 7.1)", rows)
-
-	default:
-		usage()
 	}
 }
 
@@ -373,67 +312,63 @@ func runTable2(opt fuzzyphase.Options) error {
 	return nil
 }
 
-// figureCSV writes a figure's raw data (curves or spread points) as CSV,
-// ready for external plotting.
-func figureCSV(id int, opt fuzzyphase.Options) error {
-	switch id {
-	case 2:
-		curves, err := experiment.Figure2(context.Background(), opt)
+// sections are the multi-workload subcommands. Each renders on w from its
+// positional arguments (workloads for the comparisons, the budget for
+// sampling); none means the paper's setup, which is what results/
+// archives.
+var sections = map[string]func(w io.Writer, pos []string, opt fuzzyphase.Options) error{
+	"compare-kmeans": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.Section46(context.Background(), orDefault(pos, experiment.Section46Workloads), opt)
 		if err != nil {
 			return err
 		}
-		experiment.RenderCurvesCSV(os.Stdout, curves)
-	case 8:
-		c, err := experiment.Figure8(context.Background(), opt)
+		experiment.RenderTreeVsKMeans(w, rows)
+		return nil
+	},
+	"compare-bbv": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.CompareBBV(context.Background(), orDefault(pos, experiment.BBVWorkloads), opt)
 		if err != nil {
 			return err
 		}
-		experiment.RenderCurvesCSV(os.Stdout, []experiment.Curve{c})
-	case 10:
-		c, err := experiment.Figure10(context.Background(), opt)
+		experiment.RenderBBVComparison(w, rows)
+		return nil
+	},
+	"sampling": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
+		budget := experiment.Section7Budget
+		if len(pos) == 1 {
+			budget = atoi(pos)
+		}
+		rows, err := experiment.Section7Sampling(context.Background(), experiment.Section7Workloads, budget, opt)
 		if err != nil {
 			return err
 		}
-		experiment.RenderCurvesCSV(os.Stdout, []experiment.Curve{c})
-	case 3:
-		spreads, err := experiment.Figure3(context.Background(), opt)
+		experiment.RenderSampling(w, rows)
+		return nil
+	},
+	"sweep-interval": func(w io.Writer, _ []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.Section71Intervals(context.Background(), experiment.IntervalSweepWorkloads, opt)
 		if err != nil {
 			return err
 		}
-		for _, s := range spreads {
-			experiment.RenderSpreadCSV(os.Stdout, s)
-		}
-	case 9:
-		s, err := experiment.Figure9(context.Background(), opt)
+		experiment.RenderSweep(w, experiment.IntervalSweepTitle, rows)
+		return nil
+	},
+	"sweep-machine": func(w io.Writer, _ []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.Section71Machines(context.Background(), experiment.MachineSweepWorkloads, opt)
 		if err != nil {
 			return err
 		}
-		experiment.RenderSpreadCSV(os.Stdout, s)
-	case 11:
-		s, err := experiment.Figure11(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSpreadCSV(os.Stdout, s)
-	default:
-		return fmt.Errorf("no CSV form for figure %d (available: 2, 3, 8, 9, 10, 11)", id)
-	}
-	return nil
+		experiment.RenderSweep(w, experiment.MachineSweepTitle, rows)
+		return nil
+	},
 }
 
-// envInt reads an integer environment variable for a flag default; unset
-// or malformed values fall back to 0 (the flag's own default semantics).
-func envInt(name string) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return 0
+// orDefault returns names, or the paper's list when none were given.
+func orDefault(names, paper []string) []string {
+	if len(names) == 0 {
+		return paper
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzyphase: ignoring $%s=%q: not an integer\n", name, v)
-		return 0
-	}
-	return n
+	return names
 }
 
 func atoi(pos []string) int {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -51,6 +50,13 @@ func summaryGen(name string) func(fuzzyphase.Options, io.Writer) error {
 	}
 }
 
+// sectionGen renders a multi-workload section with the paper's setup.
+func sectionGen(cmd string) func(fuzzyphase.Options, io.Writer) error {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		return sections[cmd](w, nil, opt)
+	}
+}
+
 // artifacts lists every archived file with its generation recipe.
 var artifacts = []artifact{
 	{name: "figure2.txt", gen: figureGen(2)},
@@ -78,46 +84,11 @@ var artifacts = []artifact{
 		experiment.RenderExplanation(w, res, experiment.Explain(res))
 		return nil
 	}},
-	{name: "section33-bbv.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.CompareBBV(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf", "odb-c"}, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderBBVComparison(w, rows)
-		return nil
-	}},
-	{name: "section46.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section46(context.Background(), []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderTreeVsKMeans(w, rows)
-		return nil
-	}},
-	{name: "section7.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section7Sampling(context.Background(), []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}, 10, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSampling(w, rows)
-		return nil
-	}},
-	{name: "section71-intervals.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section71Intervals(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSweep(w, "EIPV interval-size sweep (paper 7.1)", rows)
-		return nil
-	}},
-	{name: "section71-machines.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section71Machines(context.Background(), []string{"odb-c", "odb-h.q13", "spec.mcf"}, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSweep(w, "machine-model sweep (paper 7.1)", rows)
-		return nil
-	}},
+	{name: "section33-bbv.txt", gen: sectionGen("compare-bbv")},
+	{name: "section46.txt", gen: sectionGen("compare-kmeans")},
+	{name: "section7.txt", gen: sectionGen("sampling")},
+	{name: "section71-intervals.txt", gen: sectionGen("sweep-interval")},
+	{name: "section71-machines.txt", gen: sectionGen("sweep-machine")},
 }
 
 // trimLines keeps the first/last n newline-terminated lines of text.

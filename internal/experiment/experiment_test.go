@@ -111,14 +111,11 @@ func TestFigure8And10Contrast(t *testing.T) {
 	// The central DSS contrast at reduced scale: Q13's curve drops low,
 	// Q18's stays high.
 	opt := Options{Intervals: 120, Warmup: 8, Seed: 1}
-	f8, err := Figure8(context.Background(), opt)
+	curves, err := Curves(context.Background(), []string{"odb-h.q13", "odb-h.q18"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f10, err := Figure10(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8, f10 := curves[0], curves[1]
 	if f8.REOpt > 0.3 {
 		t.Fatalf("Q13 RE %.3f, want low", f8.REOpt)
 	}
@@ -133,14 +130,11 @@ func TestFigure8And10Contrast(t *testing.T) {
 func TestSpreadContrast(t *testing.T) {
 	// Figure 3 vs Figure 9: server EIP populations dwarf DSS query ones.
 	opt := Options{Intervals: 40, Warmup: 4, Seed: 1}
-	f3, err := Figure3(context.Background(), opt)
+	spreads, err := Spreads(context.Background(), []string{"odb-c", "sjas", "odb-h.q13"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f9, err := Figure9(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f3, f9 := spreads[:2], spreads[2]
 	for _, s := range f3 {
 		if s.UniqueEIPs < 10*f9.UniqueEIPs {
 			t.Fatalf("%s unique EIPs %d not >> q13's %d", s.Name, s.UniqueEIPs, f9.UniqueEIPs)
@@ -150,16 +144,13 @@ func TestSpreadContrast(t *testing.T) {
 
 func TestBreakdownShares(t *testing.T) {
 	opt := Options{Intervals: 50, Warmup: 5, Seed: 1}
-	f4, err := Figure4(context.Background(), opt)
+	series, err := Breakdowns(context.Background(), []string{"odb-c", "sjas"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f4, f5 := series[0], series[1]
 	if f4.EXEShare < 0.4 {
 		t.Fatalf("ODB-C EXE share %.2f, want dominant (paper >50%%)", f4.EXEShare)
-	}
-	f5, err := Figure5(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if f5.EXEShare < 0.2 || f5.EXEShare > 0.65 {
 		t.Fatalf("SjAS EXE share %.2f, want 30-40%% band", f5.EXEShare)
@@ -265,10 +256,11 @@ func TestPaperHeadlines(t *testing.T) {
 	}
 
 	// §5.2: thread separation helps only minimally (Figures 6/7).
-	f6, err := Figure6(context.Background(), opt)
+	pairs, err := ThreadComparisons(context.Background(), []string{"odb-c"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f6 := pairs[0]
 	if f6.Thread.REOpt > f6.NoThread.REOpt+0.05 {
 		t.Errorf("thread separation hurt ODB-C: %.3f vs %.3f", f6.Thread.REOpt, f6.NoThread.REOpt)
 	}

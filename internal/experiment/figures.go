@@ -3,7 +3,9 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cpu"
@@ -30,41 +32,21 @@ func curveOf(res *Result, name string) Curve {
 }
 
 // analyzeMany fans Analyze out across names on the options' worker budget
-// and returns the results in input order. The per-call rtree parallelism is
-// scaled down so the fan-out as a whole stays within the budget. ctx
-// cancels the fan-out and propagates into each AnalyzeCtx call.
-func analyzeMany(ctx context.Context, names []string, opt Options) ([]*Result, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]*Result, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+// and returns of(result) for each, in input order.
+func analyzeMany[T any](ctx context.Context, names []string, opt Options, of func(*Result) T) ([]T, error) {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (T, error) {
 		res, err := AnalyzeCtx(ctx, names[i], inner)
 		if err != nil {
-			return err
+			var zero T
+			return zero, err
 		}
-		out[i] = res
-		return nil
+		return of(res), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// Figure2 reproduces "Relative Error Trend for ODB-C & SjAS": ODB-C's
-// curve rises above one with k while SjAS stays flat just under one.
-func Figure2(ctx context.Context, opt Options) ([]Curve, error) {
-	names := []string{"odb-c", "sjas"}
-	results, err := analyzeMany(ctx, names, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Curve, len(results))
-	for i, res := range results {
-		out[i] = curveOf(res, names[i])
-	}
-	return out, nil
+// Curves returns each named workload's RE-vs-k curve.
+func Curves(ctx context.Context, names []string, opt Options) ([]Curve, error) {
+	return analyzeMany(ctx, names, opt, func(res *Result) Curve { return curveOf(res, res.Name) })
 }
 
 // SpreadData is one workload's EIP & CPI spread (Figures 3, 9, 11).
@@ -91,18 +73,9 @@ func spreadOf(res *Result) SpreadData {
 	}
 }
 
-// Figure3 reproduces the EIP & CPI spread of ODB-C and SjAS: tens of
-// thousands of uniformly exercised EIPs over a small-variance CPI band.
-func Figure3(ctx context.Context, opt Options) ([]SpreadData, error) {
-	results, err := analyzeMany(ctx, []string{"odb-c", "sjas"}, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SpreadData, len(results))
-	for i, res := range results {
-		out[i] = spreadOf(res)
-	}
-	return out, nil
+// Spreads returns each named workload's EIP & CPI spread.
+func Spreads(ctx context.Context, names []string, opt Options) ([]SpreadData, error) {
+	return analyzeMany(ctx, names, opt, spreadOf)
 }
 
 // BreakdownSeries is a per-interval CPI decomposition (Figures 4, 5, 12).
@@ -131,22 +104,9 @@ func breakdownOf(res *Result) BreakdownSeries {
 	return b
 }
 
-// Figure4 reproduces the ODB-C CPI breakdown (EXE/L3 stalls dominant).
-func Figure4(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "odb-c", opt)
-	if err != nil {
-		return BreakdownSeries{}, err
-	}
-	return breakdownOf(res), nil
-}
-
-// Figure5 reproduces the SjAS CPI breakdown (EXE 30-40%).
-func Figure5(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "sjas", opt)
-	if err != nil {
-		return BreakdownSeries{}, err
-	}
-	return breakdownOf(res), nil
+// Breakdowns returns each named workload's per-interval CPI breakdown.
+func Breakdowns(ctx context.Context, names []string, opt Options) ([]BreakdownSeries, error) {
+	return analyzeMany(ctx, names, opt, breakdownOf)
 }
 
 // ThreadComparison is a Figures 6/7 pair: RE with and without thread
@@ -157,79 +117,132 @@ type ThreadComparison struct {
 	Thread   Curve
 }
 
-func threadComparison(ctx context.Context, name string, opt Options) (ThreadComparison, error) {
-	noThread, err := AnalyzeCtx(ctx, name, opt)
-	if err != nil {
-		return ThreadComparison{}, err
-	}
-	sep := opt
-	sep.ThreadSeparated = true
-	thread, err := AnalyzeCtx(ctx, name, sep)
-	if err != nil {
-		return ThreadComparison{}, err
-	}
-	return ThreadComparison{
-		Name:     name,
-		NoThread: curveOf(noThread, name+".nothread"),
-		Thread:   curveOf(thread, name+".thread"),
-	}, nil
+// ThreadComparisons returns each named workload's RE curve with and
+// without thread separation.
+func ThreadComparisons(ctx context.Context, names []string, opt Options) ([]ThreadComparison, error) {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (ThreadComparison, error) {
+		name := names[i]
+		noThread, err := AnalyzeCtx(ctx, name, inner)
+		if err != nil {
+			return ThreadComparison{}, err
+		}
+		inner.ThreadSeparated = true
+		thread, err := AnalyzeCtx(ctx, name, inner)
+		if err != nil {
+			return ThreadComparison{}, err
+		}
+		return ThreadComparison{
+			Name:     name,
+			NoThread: curveOf(noThread, name+".nothread"),
+			Thread:   curveOf(thread, name+".thread"),
+		}, nil
+	})
 }
 
-// Figure6 reproduces ODB-C relative error with & without threads.
-func Figure6(ctx context.Context, opt Options) (ThreadComparison, error) {
-	return threadComparison(ctx, "odb-c", opt)
+// figureKind says which constructor and renderer a figure uses.
+type figureKind int
+
+const (
+	kindCurves    figureKind = iota // RE-vs-k curves; has a CSV form
+	kindSpread                      // EIP & CPI spread; has a CSV form
+	kindBreakdown                   // CPI breakdown
+	kindThreads                     // RE with and without thread separation
+	kindQuadrants                   // the quadrant space
+)
+
+// figure is one paper figure's recipe.
+type figure struct {
+	// heading is the first output line; empty for kinds whose renderer
+	// prints its own.
+	heading string
+	names   []string
+	kind    figureKind
 }
 
-// Figure7 reproduces SjAS relative error with & without threads.
-func Figure7(ctx context.Context, opt Options) (ThreadComparison, error) {
-	return threadComparison(ctx, "sjas", opt)
+// figures is the paper's figures 2-13, keyed by id (figure 1 is part of
+// table 1).
+var figures = map[int]figure{
+	2:  {"Figure 2: relative error trend for ODB-C & SjAS", []string{"odb-c", "sjas"}, kindCurves},
+	3:  {"Figure 3: EIP & CPI spread of ODB-C and SjAS", []string{"odb-c", "sjas"}, kindSpread},
+	4:  {"", []string{"odb-c"}, kindBreakdown},
+	5:  {"", []string{"sjas"}, kindBreakdown},
+	6:  {"", []string{"odb-c"}, kindThreads},
+	7:  {"", []string{"sjas"}, kindThreads},
+	8:  {"Figure 8: relative error trend for Q13", []string{"odb-h.q13"}, kindCurves},
+	9:  {"Figure 9: EIP & CPI spread for Q13", []string{"odb-h.q13"}, kindSpread},
+	10: {"Figure 10: relative error trend for Q18", []string{"odb-h.q18"}, kindCurves},
+	11: {"Figure 11: EIP & CPI spread for Q18", []string{"odb-h.q18"}, kindSpread},
+	12: {"", []string{"odb-h.q18"}, kindBreakdown},
+	13: {"", nil, kindQuadrants},
 }
 
-// Figure8 reproduces the Q13 relative error trend (drops fast to a low
-// asymptote at small k).
-func Figure8(ctx context.Context, opt Options) (Curve, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q13", opt)
-	if err != nil {
-		return Curve{}, err
+// FigureID returns the figure whose id is written exactly as s ("7", not
+// "07", "+7" or "7x").
+func FigureID(s string) (int, bool) {
+	for id := range figures {
+		if strconv.Itoa(id) == s {
+			return id, true
+		}
 	}
-	return curveOf(res, "odb-h.q13"), nil
+	return 0, false
 }
 
-// Figure9 reproduces the Q13 EIP & CPI spread (loopy, strongly correlated).
-func Figure9(ctx context.Context, opt Options) (SpreadData, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q13", opt)
-	if err != nil {
-		return SpreadData{}, err
+// Figure renders paper figure id on w as text or, for the curve and
+// spread figures, as CSV for external plotting.
+func Figure(ctx context.Context, id int, opt Options, w io.Writer, csv bool) error {
+	f, ok := figures[id]
+	if csv && (!ok || (f.kind != kindCurves && f.kind != kindSpread)) {
+		return fmt.Errorf("no CSV form for figure %d (available: 2, 3, 8, 9, 10, 11)", id)
 	}
-	return spreadOf(res), nil
-}
-
-// Figure10 reproduces the Q18 relative error trend (flat above one).
-func Figure10(ctx context.Context, opt Options) (Curve, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
-	if err != nil {
-		return Curve{}, err
+	if !ok {
+		return fmt.Errorf("fuzzyphase: no figure %d (the paper has figures 1-13; figure 1 is part of table 1)", id)
 	}
-	return curveOf(res, "odb-h.q18"), nil
-}
-
-// Figure11 reproduces the Q18 EIP & CPI spread (same EIPs, erratic CPI).
-func Figure11(ctx context.Context, opt Options) (SpreadData, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
-	if err != nil {
-		return SpreadData{}, err
+	switch f.kind {
+	case kindCurves:
+		curves, err := Curves(ctx, f.names, opt)
+		if err != nil {
+			return err
+		}
+		if csv {
+			RenderCurvesCSV(w, curves)
+		} else {
+			RenderCurves(w, f.heading, curves)
+		}
+	case kindSpread:
+		spreads, err := Spreads(ctx, f.names, opt)
+		if err != nil {
+			return err
+		}
+		if !csv {
+			fmt.Fprintln(w, f.heading)
+		}
+		for _, s := range spreads {
+			if csv {
+				RenderSpreadCSV(w, s)
+			} else {
+				RenderSpread(w, s)
+			}
+		}
+	case kindBreakdown:
+		series, err := Breakdowns(ctx, f.names, opt)
+		if err != nil {
+			return err
+		}
+		for _, b := range series {
+			RenderBreakdown(w, b)
+		}
+	case kindThreads:
+		pairs, err := ThreadComparisons(ctx, f.names, opt)
+		if err != nil {
+			return err
+		}
+		for _, tc := range pairs {
+			RenderThreadComparison(w, tc)
+		}
+	case kindQuadrants:
+		RenderFigure13(w, Figure13())
 	}
-	return spreadOf(res), nil
-}
-
-// Figure12 reproduces the Q18 CPI breakdown (no single dominant,
-// time-shifting bottleneck).
-func Figure12(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
-	if err != nil {
-		return BreakdownSeries{}, err
-	}
-	return breakdownOf(res), nil
+	return nil
 }
 
 // Figure13Cell describes one quadrant of the classification space.
@@ -327,34 +340,27 @@ func Table2Workloads() []Table2Row {
 // reported.
 func Table2(ctx context.Context, opt Options, progress func(name string, row Table2Row)) ([]Table2Row, error) {
 	rows := Table2Workloads()
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(rows))
-
 	var gate *progressGate
 	if progress != nil {
 		gate = newProgressGate(len(rows), func(i int) {
 			progress(rows[i].Name, rows[i])
 		})
 	}
-	err := forEach(ctx, workers, len(rows), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(rows), func(ctx context.Context, i int, inner Options) (Table2Row, error) {
 		start := time.Now()
-		res, err := AnalyzeCtx(ctx, rows[i].Name, inner)
+		row := &rows[i]
+		res, err := AnalyzeCtx(ctx, row.Name, inner)
 		if err != nil {
-			return fmt.Errorf("table2: %s: %w", rows[i].Name, err)
+			return Table2Row{}, fmt.Errorf("table2: %s: %w", row.Name, err)
 		}
-		rows[i].CPIVar = res.CPIVariance
-		rows[i].REOpt = res.CV.REOpt
-		rows[i].KOpt = res.CV.KOpt
-		rows[i].Quadrant = res.Quadrant
-		rows[i].Elapsed = time.Since(start)
+		row.CPIVar = res.CPIVariance
+		row.REOpt = res.CV.REOpt
+		row.KOpt = res.CV.KOpt
+		row.Quadrant = res.Quadrant
+		row.Elapsed = time.Since(start)
 		gate.done(i)
-		return nil
+		return *row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // QuadrantCensus tallies rows per quadrant and group.
@@ -389,24 +395,24 @@ type TreeVsKMeans struct {
 	Improvement float64
 }
 
+// Section46Workloads are the paper's §4.6 comparison workloads: the
+// default of `fuzzyphase compare-kmeans` and results/section46.txt.
+var Section46Workloads = []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}
+
 // Section46 compares regression trees against K-means clustering on the
 // given workloads (the paper reports an average ~80% improvement in CPI
 // predictability across its suite).
 func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]TreeVsKMeans, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (TreeVsKMeans, error) {
 		name := names[i]
 		res, err := AnalyzeCtx(ctx, name, inner)
 		if err != nil {
-			return err
+			return TreeVsKMeans{}, err
 		}
 		maxK := inner.withDefaults().MaxLeaves
 		km, kk, err := res.KMeans.BestRE(res.Set.CPIs(), maxK, inner.Seed)
 		if err != nil {
-			return err
+			return TreeVsKMeans{}, err
 		}
 		tree := res.Matrix.Build(rtree.Options{MaxLeaves: maxK, MinLeaf: 2, Parallelism: inner.Parallelism})
 		treeRE := tree.InSampleRE(tree.Leaves())
@@ -414,13 +420,8 @@ func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans
 		if km > 0 {
 			row.Improvement = (km - treeRE) / km
 		}
-		out[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SamplingRow is one workload's §7 sampling-technique evaluation.
@@ -436,42 +437,40 @@ type SamplingRow struct {
 	RequiredFor2Pct int
 }
 
+// Section7Workloads are the §7 evaluation's workloads: what `fuzzyphase
+// sampling` runs and results/section7.txt archives.
+var Section7Workloads = []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}
+
+// Section7Budget is the §7 evaluation's per-technique interval budget.
+const Section7Budget = 10
+
 // Section7Sampling evaluates every sampling technique — the paper's four
 // plus two-phase stratified (Ekman) — on every named workload with the
 // given interval budget; each technique becomes one column of the §7
 // table in presentation order (sampling.Techniques).
 func Section7Sampling(ctx context.Context, names []string, budget int, opt Options) ([]SamplingRow, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]SamplingRow, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (SamplingRow, error) {
 		name := names[i]
 		res, err := AnalyzeCtx(ctx, name, inner)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
 		evals, err := sampling.Evaluate(res.Set.CPIs(), res.KMeans, budget, inner.Seed)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
 		needed, err := sampling.RequiredSamples(res.Set.CPIs(), 0.02)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
-		out[i] = SamplingRow{
+		return SamplingRow{
 			Name:            name,
 			Quadrant:        res.Quadrant,
 			Evals:           evals,
 			Recommend:       quadrant.Recommend(res.Quadrant),
 			RequiredFor2Pct: needed,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SweepRow is one configuration of the §7.1 robustness sweeps.
@@ -483,46 +482,48 @@ type SweepRow struct {
 	MeanCPI float64
 }
 
-// Section71Intervals sweeps the EIPV interval length (the paper's
-// 100M/50M/10M instructions): shrinking intervals raises both CPI variance
-// and relative error.
-func Section71Intervals(ctx context.Context, names []string, opt Options) ([]SweepRow, error) {
-	sizes := []struct {
-		label string
-		insts uint64
-	}{
-		{"100M", workload.IntervalInsts},
-		{"50M", workload.IntervalInsts / 2},
-		{"10M", workload.IntervalInsts / 10},
-	}
-	n := len(names) * len(sizes)
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, n)
-	out := make([]SweepRow, n)
-	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
-		name := names[i/len(sizes)]
-		sz := sizes[i%len(sizes)]
-		o := inner
-		o.IntervalInsts = sz.insts
-		// Keep the same simulated length; more, shorter vectors.
-		res, err := AnalyzeCtx(ctx, name, o)
+// The §7.1 sweeps' workloads and table titles: what `fuzzyphase
+// sweep-interval` and `sweep-machine` print and results/ archives.
+var (
+	IntervalSweepWorkloads = []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}
+	MachineSweepWorkloads  = []string{"odb-c", "odb-h.q13", "spec.mcf"}
+)
+
+const (
+	IntervalSweepTitle = "EIPV interval-size sweep (paper 7.1)"
+	MachineSweepTitle  = "machine-model sweep (paper 7.1)"
+)
+
+// sweep analyzes every named workload under every configuration (set
+// applies config c to a copy of the options) and returns the rows
+// workload-major.
+func sweep(ctx context.Context, names []string, opt Options, labels []string, set func(o *Options, c int)) ([]SweepRow, error) {
+	return fanOut(ctx, opt, len(names)*len(labels), func(ctx context.Context, i int, inner Options) (SweepRow, error) {
+		name, c := names[i/len(labels)], i%len(labels)
+		set(&inner, c)
+		res, err := AnalyzeCtx(ctx, name, inner)
 		if err != nil {
-			return err
+			return SweepRow{}, err
 		}
-		out[i] = SweepRow{
-			Label:   sz.label,
+		return SweepRow{
+			Label:   labels[c],
 			Name:    name,
 			CPIVar:  res.CPIVariance,
 			REOpt:   res.CV.REOpt,
 			MeanCPI: res.MeanCPI,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+}
+
+// Section71Intervals sweeps the EIPV interval length (the paper's
+// 100M/50M/10M instructions): shrinking intervals raises both CPI variance
+// and relative error. The simulated length stays the same, so shorter
+// intervals give more vectors.
+func Section71Intervals(ctx context.Context, names []string, opt Options) ([]SweepRow, error) {
+	insts := []uint64{workload.IntervalInsts, workload.IntervalInsts / 2, workload.IntervalInsts / 10}
+	return sweep(ctx, names, opt, []string{"100M", "50M", "10M"}, func(o *Options, c int) {
+		o.IntervalInsts = insts[c]
+	})
 }
 
 // Section71Machines sweeps the machine model (Itanium 2 vs Pentium 4 vs
@@ -530,31 +531,11 @@ func Section71Intervals(ctx context.Context, names []string, opt Options) ([]Swe
 // but broadly unchanged quadrant structure.
 func Section71Machines(ctx context.Context, names []string, opt Options) ([]SweepRow, error) {
 	machines := []cpu.Config{cpu.Itanium2(), cpu.PentiumIV(), cpu.Xeon()}
-	n := len(names) * len(machines)
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, n)
-	out := make([]SweepRow, n)
-	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
-		name := names[i/len(machines)]
-		m := machines[i%len(machines)]
-		o := inner
-		o.Machine = m
-		res, err := AnalyzeCtx(ctx, name, o)
-		if err != nil {
-			return err
-		}
-		out[i] = SweepRow{
-			Label:   m.Name,
-			Name:    name,
-			CPIVar:  res.CPIVariance,
-			REOpt:   res.CV.REOpt,
-			MeanCPI: res.MeanCPI,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	labels := make([]string, len(machines))
+	for i, m := range machines {
+		labels[i] = m.Name
 	}
-	return out, nil
+	return sweep(ctx, names, opt, labels, func(o *Options, c int) {
+		o.Machine = machines[c]
+	})
 }

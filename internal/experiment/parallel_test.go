@@ -26,7 +26,7 @@ func renderPipelines(t *testing.T, parallelism int) (string, []string) {
 	}
 	RenderTable2(&buf, rows)
 
-	curves, err := Figure2(context.Background(), opt)
+	curves, err := Curves(context.Background(), []string{"odb-c", "sjas"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

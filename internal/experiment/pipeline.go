@@ -1,8 +1,8 @@
 // Package experiment wires the full paper pipeline together — workload →
 // simulated machine → sampling profiler → EIPVs → regression-tree
 // cross-validation → quadrant classification — and regenerates every table
-// and figure of the paper's evaluation (the per-figure constructors live in
-// figures.go; text rendering in render.go).
+// and figure of the paper's evaluation (the figure table and the per-kind
+// constructors live in figures.go; text rendering in render.go).
 package experiment
 
 import (
@@ -52,12 +52,6 @@ type Options struct {
 	// Results are bit-for-bit identical at every setting — parallelism
 	// only changes wall-clock time, never output.
 	Parallelism int
-	// TraceWorkers sets the lookahead trace-generation goroutines per
-	// cold collection (profiler.CollectOptions.TraceWorkers). Zero
-	// derives it from Parallelism; negative forces inline generation.
-	// Like Parallelism it is output-invariant, so it participates in
-	// neither the Analyze cache key nor the profile-store key.
-	TraceWorkers int
 }
 
 // Defaults for Options.

@@ -29,6 +29,27 @@ func innerParallelism(workers, n int) int {
 	return workers / n
 }
 
+// fanOut runs fn for every index in [0, n) on opt's worker budget and
+// returns the results in index order. Each call gets inner, a copy of opt
+// whose Parallelism is the call's innerParallelism share, so the fan-out
+// as a whole stays within the budget. ctx cancels the fan-out and reaches
+// each call; errors follow forEach (lowest index wins).
+func fanOut[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Context, i int, inner Options) (T, error)) ([]T, error) {
+	workers := Workers(opt.Parallelism)
+	inner := opt
+	inner.Parallelism = innerParallelism(workers, n)
+	out := make([]T, n)
+	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i, inner)
+		out[i] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // forEach runs fn(i) for every i in [0, n) on at most `workers` concurrent
 // goroutines. Indices are claimed in ascending order; the first error
 // cancels the pool's context so unclaimed work is skipped, and the error

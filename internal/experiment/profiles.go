@@ -58,7 +58,7 @@ func collectCached(ctx context.Context, name string, opt Options, bbv bool) (*pr
 			Intervals:      opt.Intervals,
 			PeriodOverride: opt.PeriodOverride,
 			// Lookahead trace generation: output-invariant, so not in key.
-			TraceWorkers: traceWorkers(opt),
+			TraceWorkers: Workers(opt.Parallelism),
 		}
 		if bbv {
 			copt.BuildBBV = true
@@ -66,18 +66,4 @@ func collectCached(ctx context.Context, name string, opt Options, bbv bool) (*pr
 		}
 		return profiler.CollectByName(name, copt)
 	})
-}
-
-// traceWorkers resolves Options.TraceWorkers: explicit positive counts pass
-// through, negative forces inline generation (0 at the profiler layer), and
-// zero inherits the analysis parallelism.
-func traceWorkers(opt Options) int {
-	switch {
-	case opt.TraceWorkers > 0:
-		return opt.TraceWorkers
-	case opt.TraceWorkers < 0:
-		return 0
-	default:
-		return Workers(opt.Parallelism)
-	}
 }

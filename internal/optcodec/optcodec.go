@@ -141,15 +141,6 @@ var fields = []Field{
 		Get: func(o *experiment.Options) string { return strconv.Itoa(o.Parallelism) },
 	},
 	{
-		Query: "trace-workers",
-		Help:  "lookahead trace-generation goroutines per cold collection (0 = follow parallelism, negative = inline)",
-		Set: func(o *experiment.Options, raw string) (err error) {
-			o.TraceWorkers, err = parseInt("trace-workers", raw)
-			return
-		},
-		Get: func(o *experiment.Options) string { return strconv.Itoa(o.TraceWorkers) },
-	},
-	{
 		Query: "threads",
 		Bool:  true,
 		Help:  "build thread-separated EIPVs",

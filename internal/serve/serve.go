@@ -656,8 +656,8 @@ func (s *Server) handleFigure(ctx context.Context, r *http.Request, buf *bytes.B
 	if err != nil {
 		return err
 	}
-	var id int
-	if _, err := fmt.Sscanf(arg, "%d", &id); err != nil || id < 2 || id > 13 {
+	id, ok := experiment.FigureID(arg)
+	if !ok {
 		return notFound("no figure %q (available: 2-13)", arg)
 	}
 	opt, err := optionsFromQuery(s.cfg.Base, r.URL.Query())

@@ -90,6 +90,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"/analyze/spec.gzip?intervalls=60", http.StatusBadRequest}, // typo must not run defaults
 		{"/analyze/spec.gzip?machine=vax", http.StatusBadRequest},
 		{"/analyze/spec.gzip?timeout=banana", http.StatusBadRequest},
+		{"/analyze/spec.gzip?trace-workers=2", http.StatusBadRequest}, // not an option
+
 		{"/table/7?" + fastQuery, http.StatusNotFound},
 		{"/figure/99?" + fastQuery, http.StatusNotFound},
 		{"/figure/abc?" + fastQuery, http.StatusNotFound},
@@ -252,6 +254,18 @@ func TestFigureEndpoint(t *testing.T) {
 	code, body := get(t, ts.URL+"/figure/13")
 	if code != 200 || !strings.Contains(body, "quadrant space") {
 		t.Errorf("/figure/13 = %d:\n%s", code, body)
+	}
+}
+
+// TestFigureIDExact: the path segment must spell a figure id exactly, so
+// trailing junk, signs, leading zeros and ids outside 2-13 are all 404s.
+func TestFigureIDExact(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, id := range []string{"2abc", "13.5", "+3", "07", "1", "14"} {
+		path := "/figure/" + id + "?" + fastQuery
+		if code, body := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404 (%.80s)", path, code, strings.TrimSpace(body))
+		}
 	}
 }
 
