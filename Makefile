@@ -1,7 +1,7 @@
 # Tier-1 verification plus race/vet hygiene in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet bench benchjson benchjson-kmeans benchjson-sampling benchjson-profiler benchjson-collect benchjson-serve check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke
+.PHONY: build test race vet bench benchjson benchjson-kmeans benchjson-sampling benchjson-collect check results verify-results verify-results-store serve-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -43,15 +43,6 @@ benchjson-sampling:
 		./internal/sampling/ \
 		| $(GO) run ./cmd/benchjson > BENCH_sampling.json
 	@cat BENCH_sampling.json
-
-# Machine-readable profile-store benchmark numbers: one full collection
-# per tier (cold = simulate, disk-warm = decode stored entry, mem-warm =
-# LRU hit) across one workload per paper family.
-benchjson-profiler:
-	$(GO) test -run '^$$' -bench 'Collect(Cold|DiskWarm|MemWarm)' -benchmem \
-		-benchtime 5x -timeout 30m ./internal/profstore/ \
-		| $(GO) run ./cmd/benchjson > BENCH_profiler.json
-	@cat BENCH_profiler.json
 
 # Machine-readable cold-collection benchmark numbers: the batched
 # retirement pipeline vs the scalar reference path, one workload per
@@ -121,61 +112,6 @@ serve-smoke:
 	trap - EXIT; \
 	test $$STATUS -eq 0 || { echo "serve did not drain cleanly (exit $$STATUS)"; exit 1; }; \
 	echo "serve-smoke: analyze + upload + metrics + graceful shutdown OK"
-
-# Machine-readable serve-mode load numbers: boot the real binary, replay
-# the three loadgen mixes (hot cache-hit reads, a cold cache-miss storm,
-# upload bursts in both encodings) against it, and snapshot per-endpoint
-# p50/p90/p99 latency, throughput, and error/shed counts to
-# BENCH_serve.json.
-benchjson-serve:
-	$(GO) build -o /tmp/fuzzyphase-bench ./cmd/fuzzyphase
-	$(GO) build -o /tmp/fuzzyphase-loadgen ./cmd/loadgen
-	/tmp/fuzzyphase-bench serve -addr 127.0.0.1:18081 -cache-entries 256 & \
-	SERVER=$$!; \
-	trap 'kill $$SERVER 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18081/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/fuzzyphase-loadgen -addr http://127.0.0.1:18081 -mix all \
-		-duration 5s -concurrency 8 -intervals 60 -warmup 6 \
-		-fail-on-5xx -out BENCH_serve.json || exit 1; \
-	kill -TERM $$SERVER; wait $$SERVER; \
-	trap - EXIT
-	@cat BENCH_serve.json
-
-# Overload smoke over a real TCP socket: boot the binary with a tiny
-# heavy-class budget, drive the cold cache-miss storm at it, and check
-# that (a) latency numbers came out nonzero, (b) overload was answered by
-# shedding 429s that all carried Retry-After, and (c) nothing surfaced as
-# a 5xx or transport error.
-serve-load-smoke:
-	$(GO) build -o /tmp/fuzzyphase-loadsmoke ./cmd/fuzzyphase
-	$(GO) build -o /tmp/fuzzyphase-loadgen ./cmd/loadgen
-	/tmp/fuzzyphase-loadsmoke serve -addr 127.0.0.1:18082 -cache-entries 8 \
-		-heavy-limit 1 -heavy-queue 2 -retry-after 2s & \
-	SERVER=$$!; \
-	trap 'kill $$SERVER 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18082/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/fuzzyphase-loadgen -addr http://127.0.0.1:18082 -mix cold \
-		-duration 5s -concurrency 8 -intervals 60 -warmup 6 \
-		-fail-on-5xx | tee /tmp/fuzzyphase-loadsmoke.out || exit 1; \
-	grep -q 'endpoint=analyze .*p99_ms=[1-9]' /tmp/fuzzyphase-loadsmoke.out || \
-		{ echo "serve-load-smoke: no nonzero p99 recorded"; exit 1; }; \
-	grep -q 'shed=[1-9]' /tmp/fuzzyphase-loadsmoke.out || \
-		{ echo "serve-load-smoke: overload never shed"; exit 1; }; \
-	grep -q 'retry_after_missing=0 ' /tmp/fuzzyphase-loadsmoke.out || \
-		{ echo "serve-load-smoke: a 429 lacked Retry-After"; exit 1; }; \
-	curl -sf http://127.0.0.1:18082/metrics | grep -q 'fuzzyphase_admission_shed{class="heavy"} [1-9]' || \
-		{ echo "serve-load-smoke: shed counter not exposed"; exit 1; }; \
-	curl -sf http://127.0.0.1:18082/metrics | grep -q 'fuzzyphase_admission_queue_depth{class="heavy"} 0' || \
-		{ echo "serve-load-smoke: queue did not drain to zero"; exit 1; }; \
-	kill -TERM $$SERVER; \
-	wait $$SERVER; STATUS=$$?; \
-	trap - EXIT; \
-	test $$STATUS -eq 0 || { echo "serve did not drain cleanly (exit $$STATUS)"; exit 1; }; \
-	echo "serve-load-smoke: overload shed with Retry-After, queue bounded, no 5xx"
 
 # Short deterministic fuzz passes over the external-profile decoders and
 # converters (the same targets CI smokes).

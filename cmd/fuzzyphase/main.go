@@ -10,7 +10,7 @@
 //	fuzzyphase compare-kmeans <workload>... [flags]
 //	fuzzyphase sampling [budget] [flags]
 //	fuzzyphase results [dir] [flags]
-//	fuzzyphase sweep-interval | sweep-machine [flags]
+//	fuzzyphase sweep-interval | sweep-machine [workload]... [flags]
 //	fuzzyphase export <workload> <file> [flags]
 //	fuzzyphase import <file> [flags]
 //	fuzzyphase serve [flags]
@@ -50,6 +50,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,8 +77,8 @@ commands:
   import <f>                   analyze or convert an external profile
   sampling [budget]            evaluate sampling techniques (paper 7)
   results [dir]                regenerate every archived results/ artifact
-  sweep-interval               EIPV interval-size sensitivity (paper 7.1)
-  sweep-machine                machine-model sensitivity (paper 7.1)
+  sweep-interval [workload]..  EIPV interval-size sensitivity (paper 7.1)
+  sweep-machine [workload]..   machine-model sensitivity (paper 7.1)
   serve                        run the analysis engine as an HTTP service
 
 flags (after positional args): -seed -intervals -warmup -machine -threads
@@ -313,9 +314,9 @@ func runTable2(opt fuzzyphase.Options) error {
 }
 
 // sections are the multi-workload subcommands. Each renders on w from its
-// positional arguments (workloads for the comparisons, the budget for
-// sampling); none means the paper's setup, which is what results/
-// archives.
+// positional arguments (workloads for the comparisons and sweeps, the
+// budget for sampling); none means the paper's setup, which is what
+// results/ archives.
 var sections = map[string]func(w io.Writer, pos []string, opt fuzzyphase.Options) error{
 	"compare-kmeans": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
 		rows, err := experiment.Section46(context.Background(), orDefault(pos, experiment.Section46Workloads), opt)
@@ -335,7 +336,7 @@ var sections = map[string]func(w io.Writer, pos []string, opt fuzzyphase.Options
 	},
 	"sampling": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
 		budget := experiment.Section7Budget
-		if len(pos) == 1 {
+		if len(pos) > 0 {
 			budget = atoi(pos)
 		}
 		rows, err := experiment.Section7Sampling(context.Background(), experiment.Section7Workloads, budget, opt)
@@ -345,16 +346,16 @@ var sections = map[string]func(w io.Writer, pos []string, opt fuzzyphase.Options
 		experiment.RenderSampling(w, rows)
 		return nil
 	},
-	"sweep-interval": func(w io.Writer, _ []string, opt fuzzyphase.Options) error {
-		rows, err := experiment.Section71Intervals(context.Background(), experiment.IntervalSweepWorkloads, opt)
+	"sweep-interval": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.Section71Intervals(context.Background(), orDefault(pos, experiment.IntervalSweepWorkloads), opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderSweep(w, experiment.IntervalSweepTitle, rows)
 		return nil
 	},
-	"sweep-machine": func(w io.Writer, _ []string, opt fuzzyphase.Options) error {
-		rows, err := experiment.Section71Machines(context.Background(), experiment.MachineSweepWorkloads, opt)
+	"sweep-machine": func(w io.Writer, pos []string, opt fuzzyphase.Options) error {
+		rows, err := experiment.Section71Machines(context.Background(), orDefault(pos, experiment.MachineSweepWorkloads), opt)
 		if err != nil {
 			return err
 		}
@@ -429,8 +430,11 @@ func stopProfilesImpl() {
 	}
 }
 
+// fatal prints err behind the command's name. The unknown figure and
+// table errors already carry that prefix as part of the library's
+// contract, so it is not printed twice.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fuzzyphase:", err)
+	fmt.Fprintln(os.Stderr, "fuzzyphase:", strings.TrimPrefix(err.Error(), "fuzzyphase: "))
 	stopProfiles()
 	os.Exit(1)
 }

@@ -21,9 +21,9 @@ import (
 // the OLTP database, the J2EE appserver, and a DSS query.
 var collectFamilies = []string{"spec.gzip", "odb-c", "sjas", "odb-h.q13"}
 
-// collectBenchIntervals matches the default Table 2 run length (and the
-// profstore benchmark), so BENCH_collect.json and BENCH_profiler.json
-// describe the same work.
+// collectBenchIntervals matches the default Table 2 run length and the
+// profstore benchmark, so BENCH_collect.json and the profile-store tier
+// benchmarks describe the same work.
 const collectBenchIntervals = 320
 
 func benchCollect(b *testing.B, scalar bool) {

@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 
 	"repro/internal/addr"
+	"repro/internal/binframe"
 	"repro/internal/cpu"
 	"repro/internal/osim"
 )
@@ -20,11 +20,8 @@ import (
 //
 //	"FZPR" | uvarint version | payload | crc32-Castagnoli (4 bytes LE)
 //
-// The checksum covers everything before it, so truncation and bit rot are
-// detected before any field is trusted. Castagnoli is hardware-accelerated
-// on amd64/arm64 (~15 GB/s vs ~1.4 GB/s for crc64), which matters because
-// checksumming is the dominant cost of a disk-warm read of a large entry;
-// 32 bits is ample for a cache that recomputes on any mismatch. The encoding is deterministic
+// The framing is internal/binframe's; 32 bits of checksum is ample for a
+// cache that recomputes on any mismatch. The encoding is deterministic
 // (map keys sorted, floats stored as IEEE bit patterns): encoding the same
 // result twice yields identical bytes, which is what lets the golden
 // harness assert byte-identical analyses through the store.
@@ -50,15 +47,24 @@ var ErrCorrupt = errors.New("profiler: corrupt profile-store entry")
 // version; the store treats it like a miss.
 var ErrUnsupportedVersion = errors.New("profiler: unsupported profile-store entry version")
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var resultFormat = &binframe.Format{
+	Magic: resultMagic, Version: resultVersion, Noun: "entry",
+	Corrupt: ErrCorrupt, Unsupported: ErrUnsupportedVersion,
+}
+
+// Package-local names for the shared framing helpers; the codec tests
+// build damaged entries by hand with them.
+var (
+	crcTable     = binframe.Table
+	appendString = binframe.AppendString
+)
 
 // EncodeResult serializes res into a self-verifying binary blob.
 func EncodeResult(res *CollectResult) []byte {
 	// Conservative size guess: ~24B per delta-encoded sample plus fixed
 	// overhead; resized by append as needed.
 	buf := make([]byte, 0, 64+24*len(res.Profile.Samples))
-	buf = append(buf, resultMagic...)
-	buf = binary.AppendUvarint(buf, resultVersion)
+	buf = resultFormat.Header(buf)
 
 	p := res.Profile
 	buf = appendString(buf, p.Workload)
@@ -114,7 +120,7 @@ func EncodeResult(res *CollectResult) []byte {
 		}
 	}
 
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	return binframe.Seal(buf)
 }
 
 // DecodeResult deserializes a blob written by EncodeResult. It verifies
@@ -122,101 +128,83 @@ func EncodeResult(res *CollectResult) []byte {
 // ErrCorrupt and foreign versions as ErrUnsupportedVersion, so callers can
 // distinguish "recompute and overwrite" from "written by another build".
 func DecodeResult(data []byte) (*CollectResult, error) {
-	if len(data) < len(resultMagic)+1+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any entry", ErrCorrupt, len(data))
-	}
-	if string(data[:len(resultMagic)]) != resultMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	body, footer := data[:len(data)-4], data[len(data)-4:]
-	if sum := crc32.Checksum(body, crcTable); sum != binary.LittleEndian.Uint32(footer) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	d := &decoder{buf: body[len(resultMagic):]}
-	if v := d.uvarint(); v != resultVersion {
-		return nil, fmt.Errorf("%w: entry version %d, this build reads %d", ErrUnsupportedVersion, v, resultVersion)
+	d, err := resultFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 
 	p := &Profile{}
-	p.Workload = d.string()
-	p.Machine = d.string()
-	p.Period = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) { // >=1 byte per sample
+	p.Workload = d.String()
+	p.Machine = d.String()
+	p.Period = d.Uvarint()
+	n := d.Uvarint()
+	if d.Err() == nil && n > uint64(d.Len()) { // >=1 byte per sample
 		return nil, fmt.Errorf("%w: sample count %d exceeds payload", ErrCorrupt, n)
 	}
 	p.Samples = make([]Sample, 0, n)
 	var prev cpu.Counters
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var s Sample
-		s.EIP = d.u64()
-		s.Thread = int(d.uvarint())
-		s.Kernel = d.byte() != 0
-		s.Counters = d.counterDelta(prev)
+		s.EIP = d.U64()
+		s.Thread = int(d.Uvarint())
+		s.Kernel = d.Byte() != 0
+		s.Counters = counterDelta(&d, prev)
 		prev = s.Counters
 		p.Samples = append(p.Samples, s)
 	}
 
 	res := &CollectResult{Profile: p}
-	res.Counters = d.counterDelta(cpu.Counters{})
-	res.OS = d.osStats()
-	res.Seconds = math.Float64frombits(d.u64())
-	res.MemRefsDropped = d.uvarint()
+	res.Counters = counterDelta(&d, cpu.Counters{})
+	res.OS = osStats(&d)
+	res.Seconds = math.Float64frombits(d.U64())
+	res.MemRefsDropped = d.Uvarint()
 
-	nr := d.uvarint()
-	if d.err == nil && nr > uint64(len(d.buf)) {
+	nr := d.Uvarint()
+	if d.Err() == nil && nr > uint64(d.Len()) {
 		return nil, fmt.Errorf("%w: region count %d exceeds payload", ErrCorrupt, nr)
 	}
 	regions := make([]addr.Region, 0, nr)
-	for i := uint64(0); i < nr && d.err == nil; i++ {
+	for i := uint64(0); i < nr && d.Err() == nil; i++ {
 		var r addr.Region
-		r.Name = d.string()
-		r.Base = d.u64()
-		r.Size = d.uvarint()
+		r.Name = d.String()
+		r.Base = d.U64()
+		r.Size = d.Uvarint()
 		regions = append(regions, r)
 	}
 	res.Space = addr.SpaceFromRegions(regions)
 
-	nv := d.uvarint()
-	if d.err == nil && nv > uint64(len(d.buf)) {
+	nv := d.Uvarint()
+	if d.Err() == nil && nv > uint64(d.Len()) {
 		return nil, fmt.Errorf("%w: BBV count %d exceeds payload", ErrCorrupt, nv)
 	}
 	if nv > 0 {
 		res.BBV = make([]BlockVector, 0, nv)
 	}
-	for i := uint64(0); i < nv && d.err == nil; i++ {
+	for i := uint64(0); i < nv && d.Err() == nil; i++ {
 		var v BlockVector
-		v.Index = int(d.uvarint())
-		v.CPI = math.Float64frombits(d.u64())
-		nc := d.uvarint()
-		if d.err == nil && nc > uint64(len(d.buf)) {
+		v.Index = int(d.Uvarint())
+		v.CPI = math.Float64frombits(d.U64())
+		nc := d.Uvarint()
+		if d.Err() == nil && nc > uint64(d.Len()) {
 			return nil, fmt.Errorf("%w: BBV entry count %d exceeds payload", ErrCorrupt, nc)
 		}
 		v.Counts = make(map[uint64]int, nc)
 		pc := uint64(0)
-		for j := uint64(0); j < nc && d.err == nil; j++ {
-			pc += d.uvarint()
-			v.Counts[pc] = int(d.uvarint())
+		for j := uint64(0); j < nc && d.Err() == nil; j++ {
+			pc += d.Uvarint()
+			v.Counts[pc] = int(d.Uvarint())
 		}
 		res.BBV = append(res.BBV, v)
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // appendCounterDelta writes c - prev field by field. Keep the field order
-// in lockstep with decoder.counterDelta; any change to cpu.Counters must
+// in lockstep with counterDelta; any change to cpu.Counters must
 // be mirrored here AND bump resultVersion.
 func appendCounterDelta(buf []byte, c, prev cpu.Counters) []byte {
 	d := c.Sub(prev)
@@ -243,106 +231,32 @@ func appendOSStats(buf []byte, s osim.Stats) []byte {
 	return buf
 }
 
-// decoder walks the payload with a sticky error, so decode code reads
-// linearly and corruption is reported once at the end of each section.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: payload truncated", ErrCorrupt)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	// One-byte fast path: counter deltas are mostly tiny, so the bulk of
-	// a large entry's millions of varints take this branch, and it is
-	// measurably what bounds disk-warm read latency.
-	if len(d.buf) > 0 && d.buf[0] < 0x80 {
-		v := uint64(d.buf[0])
-		d.buf = d.buf[1:]
-		return v
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail()
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) counterDelta(prev cpu.Counters) cpu.Counters {
+func counterDelta(d *binframe.Decoder, prev cpu.Counters) cpu.Counters {
 	return cpu.Counters{
-		Insts:        prev.Insts + d.uvarint(),
-		Cycles:       prev.Cycles + d.uvarint(),
-		WorkCycles:   prev.WorkCycles + d.uvarint(),
-		FECycles:     prev.FECycles + d.uvarint(),
-		EXECycles:    prev.EXECycles + d.uvarint(),
-		OtherCycles:  prev.OtherCycles + d.uvarint(),
-		Branches:     prev.Branches + d.uvarint(),
-		Mispredicts:  prev.Mispredicts + d.uvarint(),
-		PrefetchHits: prev.PrefetchHits + d.uvarint(),
-		L1DMisses:    prev.L1DMisses + d.uvarint(),
-		L2Misses:     prev.L2Misses + d.uvarint(),
-		L3Misses:     prev.L3Misses + d.uvarint(),
-		L1IMisses:    prev.L1IMisses + d.uvarint(),
+		Insts:        prev.Insts + d.Uvarint(),
+		Cycles:       prev.Cycles + d.Uvarint(),
+		WorkCycles:   prev.WorkCycles + d.Uvarint(),
+		FECycles:     prev.FECycles + d.Uvarint(),
+		EXECycles:    prev.EXECycles + d.Uvarint(),
+		OtherCycles:  prev.OtherCycles + d.Uvarint(),
+		Branches:     prev.Branches + d.Uvarint(),
+		Mispredicts:  prev.Mispredicts + d.Uvarint(),
+		PrefetchHits: prev.PrefetchHits + d.Uvarint(),
+		L1DMisses:    prev.L1DMisses + d.Uvarint(),
+		L2Misses:     prev.L2Misses + d.Uvarint(),
+		L3Misses:     prev.L3Misses + d.Uvarint(),
+		L1IMisses:    prev.L1IMisses + d.Uvarint(),
 	}
 }
 
-func (d *decoder) osStats() osim.Stats {
+func osStats(d *binframe.Decoder) osim.Stats {
 	return osim.Stats{
-		ContextSwitches: d.uvarint(),
-		Voluntary:       d.uvarint(),
-		Involuntary:     d.uvarint(),
-		KernelInsts:     d.uvarint(),
-		UserInsts:       d.uvarint(),
-		IdleCycles:      d.uvarint(),
-		IOWaits:         d.uvarint(),
+		ContextSwitches: d.Uvarint(),
+		Voluntary:       d.Uvarint(),
+		Involuntary:     d.Uvarint(),
+		KernelInsts:     d.Uvarint(),
+		UserInsts:       d.Uvarint(),
+		IdleCycles:      d.Uvarint(),
+		IOWaits:         d.Uvarint(),
 	}
 }

@@ -2,8 +2,10 @@ package profstore_test
 
 // The profile-store benchmark trio quantifies the tentpole speedup: how
 // long a profile collection takes cold (full simulation), disk-warm (one
-// DecodeResult of a stored entry), and memory-warm (an LRU lookup). The
-// results are archived as BENCH_profiler.json via `make benchjson-profiler`.
+// DecodeResult of a stored entry), and memory-warm (an LRU lookup). CI
+// runs one iteration of each as a smoke; the tier costs of record are the
+// repository benchmark's `collect_ms.<w>` (cold) and `store_get_ms.<w>`
+// (warm), see perfbench/README.md.
 //
 // The external test package (profstore_test) lets these benches import the
 // workload registry without an import cycle.

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +220,106 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 	wg.Wait()
 	waitFor(t, "admission gauges drained", func() bool {
 		return srv.heavy.inFlight.Load() == 0 && srv.heavy.queued.Load() == 0
+	})
+}
+
+// metricValue reads one series' value from a /metrics body, or -1 when
+// the series is absent.
+func metricValue(body, series string) float64 {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
+}
+
+// TestServeColdMissStorm is the sustained overload check over real
+// loopback TCP: eight clients send distinct-seed cold analyses at a heavy
+// budget of one slot and two queue places until some are served and some
+// shed. No request may end in a 5xx or a transport error, every 429 must
+// carry the configured Retry-After, the shed counter must show on
+// /metrics, and the heavy queue must drain to zero once the clients stop.
+func TestServeColdMissStorm(t *testing.T) {
+	_, ts := newAdmissionServer(t, Config{
+		HeavyLimit: 1, HeavyQueue: 2, RetryAfter: 2 * time.Second,
+	})
+	experiment.InvalidateAnalysisCache()
+
+	const clients = 8
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+
+	var seed, served, shed atomic.Int64
+	var mu sync.Mutex
+	var bad []string
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		bad = append(bad, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				url := fmt.Sprintf("%s/analyze/spec.gzip?intervals=60&warmup=6&seed=%d", ts.URL, 20000+seed.Add(1))
+				resp, err := client.Get(url)
+				if err != nil {
+					fail("transport error: %v", err)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					served.Add(1)
+				case http.StatusTooManyRequests:
+					shed.Add(1)
+					if got := resp.Header.Get("Retry-After"); got != "2" {
+						fail("429 with Retry-After %q, want \"2\"", got)
+					}
+				default:
+					fail("%s: status %d", url, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	var once sync.Once
+	stopClients := func() { once.Do(func() { close(stop); wg.Wait() }) }
+	defer stopClients()
+
+	// A served cold analysis takes seconds under the race detector on a
+	// small machine, so the storm gets a longer deadline than waitFor's.
+	deadline := time.Now().Add(time.Minute)
+	for served.Load() < 2 || shed.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("storm: %d served and %d shed after a minute, want >= 2 and >= 1", served.Load(), shed.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stopClients()
+	t.Logf("storm: %d requests, %d served, %d shed", seed.Load(), served.Load(), shed.Load())
+	if len(bad) > 0 {
+		t.Errorf("%d requests broke the overload contract, e.g. %s", len(bad), bad[0])
+	}
+
+	_, body := get(t, ts.URL+"/metrics")
+	if got := metricValue(body, `fuzzyphase_admission_shed{class="heavy"}`); got < 1 {
+		t.Errorf(`fuzzyphase_admission_shed{class="heavy"} = %v, want >= 1`, got)
+	}
+	waitFor(t, "heavy queue depth 0 on /metrics", func() bool {
+		_, body := get(t, ts.URL+"/metrics")
+		return metricValue(body, `fuzzyphase_admission_queue_depth{class="heavy"}`) == 0
 	})
 }
 
